@@ -90,11 +90,10 @@ def _cmd_act(args) -> tuple[str, dict]:
         params = KerovParams(_parse_fraction(args.z), _parse_fraction(args.zprime))
         out = kerov_apply(op, vec, params)
 
-    basis = "schur" if mode == "schur" else "diagram"
-    letter = "s" if basis == "schur" else "y"
+    letter = "s" if mode == "schur" else "y"
     items = out.sorted_terms()
     inputs = {"rep": rep, "op": op, "n": args.n, "expr": args.expr}
-    doc = {"basis": basis, "n": args.n}
+    doc = {"basis": mode, "n": args.n}
     if args.d is not None:
         doc["d"] = args.d
         inputs["d"] = args.d
@@ -147,6 +146,8 @@ def _cmd_decompose(args) -> tuple[str, dict]:
         return text, doc
     if args.n < 2:
         raise CliError("the graded decomposition needs n >= 2")
+    if args.max_weight < 0:
+        raise CliError(f"--max-weight must be >= 0, got {args.max_weight}")
     entries = [(i, count_lw_solutions(args.n, i)) for i in range(args.max_weight + 1)]
     text = "\n".join(f"c[{i}] = {m}" for i, m in entries)
     doc = {
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
             text, doc = _cmd_decompose(args)
         else:
             text, doc = _cmd_character(args)
-    except (CliError, ParseError, EvalError, ValueError) as exc:
+    except (CliError, ParseError, EvalError, ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(doc) if args.json else text)

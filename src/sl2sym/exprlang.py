@@ -15,11 +15,13 @@ Expressions are parsed into tuple trees:
 """
 
 from fractions import Fraction
+from operator import add, sub
 
 from .symfunc import SchurVector, multiply, power_sum_schur
 from .young import phi_inverse
 
 ATOM_LETTERS = "speyh"
+_BINARY = {"add": add, "sub": sub, "mul": multiply}
 
 
 class ParseError(Exception):
@@ -225,17 +227,11 @@ def _eval_schur(e, n: int, allow_diagram_atoms: bool) -> SchurVector:
         raise EvalError(f"unknown atom {letter!r}")
     if kind == "neg":
         return -_eval_schur(e[1], n, allow_diagram_atoms)
-    if kind == "add":
-        return _eval_schur(e[1], n, allow_diagram_atoms) + _eval_schur(e[2], n, allow_diagram_atoms)
-    if kind == "sub":
-        return _eval_schur(e[1], n, allow_diagram_atoms) - _eval_schur(e[2], n, allow_diagram_atoms)
-    if kind == "mul":
-        return multiply(
-            _eval_schur(e[1], n, allow_diagram_atoms),
-            _eval_schur(e[2], n, allow_diagram_atoms),
-        )
     if kind == "pow":
         return _eval_schur(e[1], n, allow_diagram_atoms) ** e[2]
+    if kind in _BINARY:
+        lhs, rhs = (_eval_schur(arg, n, allow_diagram_atoms) for arg in e[1:])
+        return _BINARY[kind](lhs, rhs)
     raise ValueError(f"unknown node {kind!r}")
 
 

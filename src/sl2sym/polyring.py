@@ -6,31 +6,30 @@ generators z_i."""
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
+from operator import add
 
-OPS = ("lower", "cartan", "raise")
+from .vector import SparseVector, op_constants
 
-
-class Poly:
-    """Polynomial in a fixed number of variables, stored as a map from
+class Poly(SparseVector):
+    """Polynomial in a fixed number of variables `n`, stored as a map from
     exponent tuples to nonzero rational coefficients."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    LETTER = "x^"
+    n = property(lambda self: self.ambient)
 
-    def __init__(self, n: int, terms=None):
+    def _check_ambient(self, n):
         if n < 1:
             raise ValueError("need at least one variable")
-        self.n = n
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != n or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector {exps!r} for {n} variables")
-                clean[exps] = c
-        self.terms = clean
+
+    def _check_key(self, exps):
+        exps = tuple(exps)
+        if len(exps) != self.n or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r} for {self.n} variables")
+        return exps
+
+    def _unit_key(self):
+        return (0,) * self.n
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
@@ -53,58 +52,16 @@ class Poly:
     def monomial(cls, n: int, exps, c=1) -> "Poly":
         return cls(n, {tuple(exps): c})
 
-    def _require_same_ambient(self, other: "Poly"):
-        if self.n != other.n:
-            raise ValueError(f"ambient variable counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._require_same_ambient(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return Poly(self.n, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._require_same_ambient(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) - c
-        return Poly(self.n, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._require_same_ambient(other)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, 0) + c1 * c2
-            return Poly(self.n, out)
-        if isinstance(other, (int, Fraction)):
-            return Poly(self.n, {e: c * other for e, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("only natural powers")
-        out = Poly.constant(self.n, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        if not isinstance(other, Poly):
+            return super().__mul__(other)
+        self._same_ambient(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return self._closed(self.n, out)
 
     def partial(self, k: int) -> "Poly":
         """Formal partial derivative in x_k (1-based)."""
@@ -132,26 +89,6 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
-        pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
-            mono = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps) if e
-            )
-            if not mono:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append(mono)
-            elif c == -1:
-                pieces.append("-" + mono)
-            else:
-                pieces.append(f"{c}*{mono}")
-        return "Poly(" + " + ".join(pieces).replace("+ -", "- ") + ")"
-
 
 def partial(f: Poly, k: int) -> Poly:
     return f.partial(k)
@@ -161,59 +98,37 @@ def is_symmetric(f: Poly) -> bool:
     return f.is_symmetric()
 
 
+def _monomial_operator(op: str, f: Poly, constants: dict) -> Poly:
+    """One of lower/cartan/raise, given on a monomial x^e by `constants[op]`
+    = (a, b): lower and raise sum over k the monomial with e_k moved down or
+    up by one, weighted a + b*e_k; cartan scales x^e by a + b*deg(e)."""
+    a, b = op_constants(constants, op)
+    step = 1 if op == "raise" else -1
+    out = {}
+    for exps, c in f.terms.items():
+        if op == "cartan":
+            out[exps] = (a + b * sum(exps)) * c
+            continue
+        for k, e in enumerate(exps):
+            w = a + b * e
+            if w:
+                key = exps[:k] + (e + step,) + exps[k + 1:]
+                out[key] = out.get(key, 0) + c * w
+    return Poly(f.n, out)
+
+
 def rho1_apply(op: str, f: Poly) -> Poly:
     """First action: lower = -sum d/dx_k, cartan = 2 sum x_k d/dx_k,
     raise = sum x_k^2 d/dx_k."""
-    n = f.n
-    out = {}
-    if op == "lower":
-        for exps, c in f.terms.items():
-            for k in range(n):
-                e = exps[k]
-                if e:
-                    key = exps[:k] + (e - 1,) + exps[k + 1:]
-                    out[key] = out.get(key, 0) - c * e
-    elif op == "cartan":
-        for exps, c in f.terms.items():
-            out[exps] = 2 * sum(exps) * c
-    elif op == "raise":
-        for exps, c in f.terms.items():
-            for k in range(n):
-                e = exps[k]
-                if e:
-                    key = exps[:k] + (e + 1,) + exps[k + 1:]
-                    out[key] = out.get(key, 0) + c * e
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    return Poly(n, out)
+    return _monomial_operator(op, f, {"lower": (0, -1), "cartan": (0, 2), "raise": (0, 1)})
 
 
 def rho2_apply(op: str, f: Poly, d: int) -> Poly:
     """Second action: lower = sum d/dx_k, cartan = 2 sum x_k d/dx_k - n*d,
-    raise = sum (-x_k^2 d/dx_k + d*x_k)."""
-    n = f.n
-    out = {}
-    if op == "lower":
-        for exps, c in f.terms.items():
-            for k in range(n):
-                e = exps[k]
-                if e:
-                    key = exps[:k] + (e - 1,) + exps[k + 1:]
-                    out[key] = out.get(key, 0) + c * e
-    elif op == "cartan":
-        for exps, c in f.terms.items():
-            out[exps] = (2 * sum(exps) - n * d) * c
-    elif op == "raise":
-        # on a monomial the k-th summand contributes (d - e_k) x_k * monomial
-        for exps, c in f.terms.items():
-            for k in range(n):
-                w = d - exps[k]
-                if w:
-                    key = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
-                    out[key] = out.get(key, 0) + c * w
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    return Poly(n, out)
+    raise = sum (-x_k^2 d/dx_k + d*x_k); on a monomial the k-th summand of
+    raise contributes (d - e_k) x_k * monomial."""
+    constants = {"lower": (0, 1), "cartan": (-f.n * d, 2), "raise": (d, -1)}
+    return _monomial_operator(op, f, constants)
 
 
 def power_sum_poly(k: int, n: int) -> Poly:

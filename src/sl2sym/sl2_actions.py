@@ -6,18 +6,9 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .combinatorics import (
-    add_cell,
-    addable_corners,
-    alpha_degree,
-    alpha_tuples,
-    content,
-    count_lw_solutions,
-    partitions,
-    remove_cell,
-    removable_corners,
-)
+from .combinatorics import alpha_degree, alpha_tuples, count_lw_solutions, partitions
 from .symfunc import SchurVector, elementary_schur, multiply, power_sum_schur, z_monomial_schur
+from .vector import box_image, box_operator, op_constants
 
 
 class LowestWeightVector(NamedTuple):
@@ -25,60 +16,35 @@ class LowestWeightVector(NamedTuple):
     weight: int
 
 
-def act_rho1(op: str, v: SchurVector) -> SchurVector:
-    """First action on Schur vectors:
+def rho1_constants(n: int) -> dict:
+    """Box-operator constants of the first action on Schur vectors:
     lower s = -sum over removable cells of (n + content) s',
     cartan s = 2|lam| s, raise s = sum over addable cells of content * s'."""
-    n = v.n
-
-    def image(lam):
-        if op == "cartan":
-            return {lam: 2 * sum(lam)}
-        if op == "lower":
-            return {
-                remove_cell(lam, cell): -(n + content(cell))
-                for cell in removable_corners(lam)
-            }
-        if op == "raise":
-            out = {}
-            for cell in addable_corners(lam, n):
-                w = content(cell)
-                if w:
-                    out[add_cell(lam, cell)] = w
-            return out
-        raise ValueError(f"unknown operator {op!r}")
-
-    return v.map_basis(image)
+    return {"lower": ("remove", -n, -1), "cartan": ("diagonal", 0, 2), "raise": ("add", 0, 1)}
 
 
-def act_rho2(op: str, v: SchurVector, d: int) -> SchurVector:
-    """Second action on Schur vectors with column bound d:
+def rho2_constants(n: int, d: int) -> dict:
+    """Box-operator constants of the second action with column bound d:
     lower s = +sum (n + content) s', cartan s = (2|lam| - n*d) s,
     raise s = sum (d - content) s'.  The corner in column d+1 has content d,
     so the column bound is preserved automatically."""
-    n = v.n
+    if d < 0:
+        raise ValueError(f"need d >= 0, got d={d}")
+    return {"lower": ("remove", n, 1), "cartan": ("diagonal", -n * d, 2), "raise": ("add", d, -1)}
+
+
+def act_rho1(op: str, v: SchurVector) -> SchurVector:
+    """First action on Schur vectors (see rho1_constants)."""
+    return box_operator(v, op_constants(rho1_constants(v.n), op), v.n)
+
+
+def act_rho2(op: str, v: SchurVector, d: int) -> SchurVector:
+    """Second action on Schur vectors in the n x d box (see rho2_constants)."""
+    constants = op_constants(rho2_constants(v.n, d), op)
     for lam in v.terms:
         if lam and lam[0] > d:
             raise ValueError(f"partition {lam!r} violates the column bound {d}")
-
-    def image(lam):
-        if op == "cartan":
-            return {lam: 2 * sum(lam) - n * d}
-        if op == "lower":
-            return {
-                remove_cell(lam, cell): n + content(cell)
-                for cell in removable_corners(lam)
-            }
-        if op == "raise":
-            out = {}
-            for cell in addable_corners(lam, n):
-                w = d - content(cell)
-                if w:
-                    out[add_cell(lam, cell)] = w
-            return out
-        raise ValueError(f"unknown operator {op!r}")
-
-    return v.map_basis(image)
+    return box_operator(v, constants, v.n)
 
 
 def act_rho1_named(op: str, family: str, i: int, n: int) -> SchurVector:
@@ -133,6 +99,8 @@ def lowest_weight_basis_rho1(n: int, max_degree: int) -> list[LowestWeightVector
     vectors, ordered by (degree, exponent tuple), tagged with their weights."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if max_degree < 0:
+        raise ValueError(f"need max_degree >= 0, got {max_degree}")
     return [
         LowestWeightVector(z_monomial_schur(alpha, n), weight_of_alpha(alpha))
         for alpha in alpha_tuples(n, max_degree)
@@ -156,6 +124,8 @@ def decompose_lambda_n(n: int, max_weight_half: int) -> dict[int, int]:
 def character_finite(n: int, d: int) -> dict[int, int]:
     """Cartan eigenvalue multiplicities 2|lam| - n*d over all partitions in
     the n x d box."""
+    if n < 0 or d < 0:
+        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     char: dict[int, int] = {}
     for m in range(n * d + 1):
         for _ in partitions(m, n, d):
@@ -231,23 +201,32 @@ def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Frac
     return basis
 
 
+def graded_matrix(constants, domain: list, codomain: list, row_bound) -> list[list]:
+    """Matrix of one box operator (constants as in `box_image`) from the
+    span of the `domain` partitions to that of the `codomain` partitions,
+    one column per domain partition."""
+    index = {lam: r for r, lam in enumerate(codomain)}
+    rows = [[Fraction(0)] * len(domain) for _ in codomain]
+    for col, lam in enumerate(domain):
+        for mu, w in box_image(lam, constants, row_bound):
+            if w:
+                rows[index[mu]][col] = Fraction(w)
+    return rows
+
+
 def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     """Basis of the lowering kernel inside the n x d box, computed per
     cartan-weight component by exact nullspace of the lowering matrix in the
     Schur basis.  The number of vectors of weight -i equals the multiplicity
     of the (i+1)-dimensional irreducible."""
+    lower = rho2_constants(n, d)["lower"]
     out = []
     for m in range(n * d + 1):
         domain = sorted(partitions(m, n, d), reverse=True)
         if not domain:
             continue
         codomain = sorted(partitions(m - 1, n, d), reverse=True) if m else []
-        index = {lam: r for r, lam in enumerate(codomain)}
-        rows = [[Fraction(0)] * len(domain) for _ in codomain]
-        for c_idx, lam in enumerate(domain):
-            img = act_rho2("lower", SchurVector.basis(n, lam), d)
-            for mu, coef in img.terms.items():
-                rows[index[mu]][c_idx] = coef
+        rows = graded_matrix(lower, domain, codomain, n)
         for vec in rational_nullspace(rows, len(domain)):
             sv = SchurVector(
                 n, {domain[j]: vec[j] for j in range(len(domain)) if vec[j]}

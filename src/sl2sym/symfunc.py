@@ -3,43 +3,32 @@ expansion of Schur polynomials, conversion of symmetric polynomials into
 the Schur basis, multiplication, and the named families (power sums,
 elementary, complete homogeneous, kernel generators) as Schur vectors."""
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from .combinatorics import Partition, addable_corners, add_cell, check_partition
+from .combinatorics import Partition, check_partition
 from .polyring import Poly, power_sum_poly
+from .vector import SparseVector, box_operator
 
 
-def canonical_order(terms: dict) -> list:
-    """Items sorted by degree, then lexicographically descending partition."""
-    items = sorted(terms.items(), key=lambda kv: kv[0], reverse=True)
-    items.sort(key=lambda kv: sum(kv[0]))
-    return items
-
-
-class SchurVector:
+class SchurVector(SparseVector):
     """Finite rational linear combination of Schur basis elements s_lambda,
     all partitions having at most `n` rows."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    LETTER = "s"
+    n = property(lambda self: self.ambient)
 
-    def __init__(self, n: int, terms=None):
+    def _check_ambient(self, n):
         if n < 1:
             raise ValueError("need at least one variable")
-        self.n = n
-        clean = {}
-        if terms:
-            for lam, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                lam = check_partition(lam)
-                if len(lam) > n:
-                    raise ValueError(f"partition {lam!r} has more than {n} rows")
-                clean[lam] = c
-        self.terms = clean
+
+    def _check_key(self, lam):
+        lam = check_partition(lam)
+        if len(lam) > self.n:
+            raise ValueError(f"partition {lam!r} has more than {self.n} rows")
+        return lam
 
     @classmethod
     def zero(cls, n: int) -> "SchurVector":
@@ -53,75 +42,10 @@ class SchurVector:
     def basis(cls, n: int, lam) -> "SchurVector":
         return cls(n, {tuple(lam): 1})
 
-    def _require_same_ambient(self, other: "SchurVector"):
-        if self.n != other.n:
-            raise ValueError(f"ambient variable counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "SchurVector") -> "SchurVector":
-        self._require_same_ambient(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) + c
-        return SchurVector(self.n, out)
-
-    def __sub__(self, other: "SchurVector") -> "SchurVector":
-        self._require_same_ambient(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) - c
-        return SchurVector(self.n, out)
-
-    def __neg__(self) -> "SchurVector":
-        return SchurVector(self.n, {lam: -c for lam, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, SchurVector):
             return multiply(self, other)
-        if isinstance(other, (int, Fraction)):
-            return SchurVector(self.n, {lam: c * other for lam, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "SchurVector":
-        if k < 0:
-            raise ValueError("only natural powers")
-        out = SchurVector.unit(self.n)
-        for _ in range(k):
-            out = multiply(out, self)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchurVector)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def map_basis(self, image) -> "SchurVector":
-        """Linear extension of `image`, a map partition -> {partition: coeff}."""
-        out = {}
-        for lam, c in self.terms.items():
-            for mu, a in image(lam).items():
-                out[mu] = out.get(mu, 0) + c * a
-        return SchurVector(self.n, out)
-
-    def sorted_terms(self) -> list:
-        return canonical_order(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"SchurVector({self.n}, 0)"
-        body = " + ".join(
-            f"{c}*s{list(lam)}" for lam, c in self.sorted_terms()
-        ).replace("+ -", "- ")
-        return f"SchurVector({self.n}, {body})"
+        return super().__mul__(other)
 
 
 def staircase(n: int) -> Partition:
@@ -207,7 +131,7 @@ def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
 def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
     """Product in the Schur basis; partitions with too many rows drop out
     automatically on the polynomial side."""
-    u._require_same_ambient(v)
+    u._same_ambient(v)
     out = {}
     for lam, a in u.terms.items():
         for mu, b in v.terms.items():
@@ -219,10 +143,7 @@ def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
 
 def pieri_e1(u: SchurVector) -> SchurVector:
     """Multiplication by s_(1): add one box in all ways within the row bound."""
-    n = u.n
-    return u.map_basis(
-        lambda lam: {add_cell(lam, cell): 1 for cell in addable_corners(lam, n)}
-    )
+    return box_operator(u, ("add", 1, 0), u.n)
 
 
 def power_sum_schur(k: int, n: int) -> SchurVector:

@@ -1,0 +1,151 @@
+"""The sparse vector algebra under every basis of the library, and the
+content-weighted box operator on partition-keyed vectors: both sl2-actions,
+their transports, the Kerov operators and Pieri's rule are that operator
+with different constants."""
+
+from fractions import Fraction
+from operator import add, sub
+
+from .combinatorics import add_cell, addable_corners, content, remove_cell, removable_corners
+
+
+def canonical_order(terms: dict) -> list:
+    """Items sorted by degree, then lexicographically descending key."""
+    items = sorted(terms.items(), key=lambda kv: kv[0], reverse=True)
+    items.sort(key=lambda kv: sum(kv[0]))
+    return items
+
+
+class SparseVector:
+    """Finite rational linear combination of basis keys in a fixed ambient
+    (a variable count or a row bound).  Subclasses define `_check_ambient`
+    and `_check_key` (which returns the key as stored), and name the basis
+    in `repr` by `LETTER`."""
+
+    __slots__ = ("ambient", "terms")
+    LETTER = "?"
+
+    def __init__(self, ambient, terms=None):
+        self._check_ambient(ambient)
+        self.ambient = ambient
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                c = Fraction(c)
+                if c:
+                    clean[self._check_key(key)] = c
+        self.terms = clean
+
+    @classmethod
+    def _closed(cls, ambient, terms: dict):
+        """Result of a closed operation, whose keys come from checked keys
+        and whose coefficients are already Fractions: only zeros are dropped."""
+        out = cls.__new__(cls)
+        out.ambient = ambient
+        out.terms = {key: c for key, c in terms.items() if c}
+        return out
+
+    def _unit_key(self):
+        return ()
+
+    def _same_ambient(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.ambient != other.ambient:
+            raise ValueError(f"ambients differ: {self.ambient} vs {other.ambient}")
+
+    def _combine(self, other, op):
+        self._same_ambient(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = op(out.get(key, 0), c)
+        return self._closed(self.ambient, out)
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return self._closed(self.ambient, {key: -c for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._closed(self.ambient, {key: c * other for key, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("only natural powers")
+        out = self._closed(self.ambient, {self._unit_key(): Fraction(1)})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.ambient == other.ambient
+            and self.terms == other.terms
+        )
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __hash__(self):
+        return hash((self.ambient, frozenset(self.terms.items())))
+
+    def map_basis(self, image):
+        """Linear extension of `image`, a map key -> {key: coeff}."""
+        out = {}
+        for key, c in self.terms.items():
+            for mu, a in image(key).items():
+                out[mu] = out.get(mu, 0) + c * a
+        return type(self)(self.ambient, out)
+
+    def sorted_terms(self) -> list:
+        return canonical_order(self.terms)
+
+    def __repr__(self):
+        body = " + ".join(
+            f"{c}*{self.LETTER}{list(key)}" for key, c in self.sorted_terms()
+        ).replace("+ -", "- ")
+        return f"{type(self).__name__}({self.ambient}, {body or 0})"
+
+
+def op_constants(table: dict, op: str) -> tuple:
+    """The constants of operator `op` in `table`.  Looked up before any
+    term is touched, so an unknown name raises whatever the input is."""
+    try:
+        return table[op]
+    except KeyError:
+        raise ValueError(f"unknown operator {op!r}") from None
+
+
+def box_image(lam, constants, row_bound) -> list:
+    """Image of the single partition `lam` as (partition, weight) pairs.
+    `constants` is (part, a, b):
+    - ("remove", a, b): every removable cell, weight a + b*content;
+    - ("add", a, b): every cell addable within `row_bound` rows (None:
+      unbounded), weight a + b*content;
+    - ("diagonal", a, b): lam itself, weight a + b*|lam|."""
+    part, a, b = constants
+    if part == "diagonal":
+        return [(lam, a + b * sum(lam))]
+    if part == "remove":
+        return [(remove_cell(lam, cell), a + b * content(cell)) for cell in removable_corners(lam)]
+    bound = len(lam) + 1 if row_bound is None else row_bound
+    return [(add_cell(lam, cell), a + b * content(cell)) for cell in addable_corners(lam, bound)]
+
+
+def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
+    """Linear extension of `box_image` to a partition-keyed vector.  The
+    result has ambient `row_bound`; a cell added with weight 0 drops out."""
+    out = {}
+    for lam, c in v.terms.items():
+        for mu, w in box_image(lam, constants, row_bound):
+            out[mu] = out.get(mu, 0) + c * w
+    return v._closed(row_bound, out)

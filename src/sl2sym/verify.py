@@ -10,7 +10,10 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .combinatorics import (
+    add_cell,
+    addable_corners,
     alpha_tuples,
+    content,
     count_lw_solutions,
     count_partitions_in_rectangle,
     gamma,
@@ -31,9 +34,11 @@ from .sl2_actions import (
     act_rho2,
     character_finite,
     decompose_finite,
+    graded_matrix,
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
     rational_rref,
+    rho1_constants,
     vd_realization,
     weight_of_alpha,
 )
@@ -51,10 +56,12 @@ from .young import (
     KerovParams,
     hat_apply,
     kerov_apply,
+    nabla,
     phi,
     phi_inverse,
     pi_k,
     tilde_apply,
+    xi_minus,
     zeta,
 )
 
@@ -92,17 +99,17 @@ def _exponents(n, max_deg):
             yield (e,) + rest
 
 
-def _partitions_up_to(max_size, max_rows):
+def _partitions_up_to(max_size, max_rows, max_part=None):
     out = []
     for m in range(max_size + 1):
-        out.extend(partitions(m, max_rows))
+        out.extend(partitions(m, max_rows, max_part))
     return out
 
 
 # ---------------------------------------------------------------- commutators
 
 
-def _poly_brackets_ok(apply_op, f):
+def _brackets_ok(apply_op, f):
     rl = apply_op("raise", apply_op("lower", f)) - apply_op("lower", apply_op("raise", f))
     if rl != apply_op("cartan", f):
         return False
@@ -121,7 +128,7 @@ def suite_commutators():
         for exps in _exponents(n, 8):
             f = Poly.monomial(n, exps)
             count += 1
-            if not _poly_brackets_ok(lambda op, g: rho1_apply(op, g), f):
+            if not _brackets_ok(lambda op, g: rho1_apply(op, g), f):
                 bad += 1
     checks.append(Check(
         "commutators", "first action on monomials (deg<=8, n<=4)",
@@ -133,7 +140,7 @@ def suite_commutators():
         for d in range(7):
             for f in monos:
                 count += 1
-                if not _poly_brackets_ok(lambda op, g: rho2_apply(op, g, d), f):
+                if not _brackets_ok(lambda op, g: rho2_apply(op, g, d), f):
                     bad += 1
     checks.append(Check(
         "commutators", "second action on monomials (deg<=8, n<=4, d<=6)",
@@ -144,7 +151,7 @@ def suite_commutators():
         for lam in _partitions_up_to(6, n):
             v = SchurVector.basis(n, lam)
             count += 1
-            if not _poly_brackets_ok(lambda op, u: act_rho1(op, u), v):
+            if not _brackets_ok(lambda op, u: act_rho1(op, u), v):
                 bad += 1
     checks.append(Check(
         "commutators", "first action on Schur basis (|lam|<=6, n<=4)",
@@ -153,12 +160,10 @@ def suite_commutators():
     count = bad = 0
     for n in range(1, 5):
         for d in range(7):
-            for lam in _partitions_up_to(6, n):
-                if lam and lam[0] > d:
-                    continue
+            for lam in _partitions_up_to(6, n, d):
                 v = SchurVector.basis(n, lam)
                 count += 1
-                if not _poly_brackets_ok(lambda op, u: act_rho2(op, u, d), v):
+                if not _brackets_ok(lambda op, u: act_rho2(op, u, d), v):
                     bad += 1
     checks.append(Check(
         "commutators", "second action on Schur basis (|lam|<=6, n<=4, d<=6)",
@@ -206,9 +211,7 @@ def suite_schur_action():
     count = bad = 0
     for n in range(1, 5):
         for d in range(7):
-            for lam in _partitions_up_to(6, n):
-                if lam and lam[0] > d:
-                    continue
+            for lam in _partitions_up_to(6, n, d):
                 fp = schur_to_poly(lam, n)
                 v = SchurVector.basis(n, lam)
                 for op in ("lower", "cartan", "raise"):
@@ -366,16 +369,11 @@ def suite_kernel():
 
     count = bad = 0
     for n in range(1, 5):
+        raising = rho1_constants(n)["raise"]
         for m in range(1, 7):
             domain = sorted(partitions(m, n), reverse=True)
             codomain = sorted(partitions(m + 1, n), reverse=True)
-            index = {lam: r for r, lam in enumerate(codomain)}
-            rows = [[Fraction(0)] * len(domain) for _ in codomain]
-            for c_idx, lam in enumerate(domain):
-                img = act_rho1("raise", SchurVector.basis(n, lam))
-                for mu, coef in img.terms.items():
-                    rows[index[mu]][c_idx] = coef
-            _, pivots = rational_rref(rows)
+            _, pivots = rational_rref(graded_matrix(raising, domain, codomain, n))
             count += 1
             if len(pivots) != len(domain):
                 bad += 1
@@ -547,6 +545,23 @@ def suite_tables():
 # ---------------------------------------------------------------------- kerov
 
 
+def _transported(op, lam, n, d=None):
+    """The transported operators on one diagram as explicit box sums built
+    from xi_minus and nabla: the first action when d is None, else the
+    second in the n x d box.  The oracle for hat_apply and tilde_apply."""
+    if op == "cartan":
+        image = DiagramVector(None, {lam: 2 * sum(lam) - n * (d or 0)})
+    elif op == "lower":
+        image = (-1 if d is None else 1) * (n * xi_minus(lam) + nabla("-", lam))
+    elif d is None:
+        image = nabla("+", lam, n)
+    else:
+        image = DiagramVector(None, {
+            add_cell(lam, cell): d - content(cell) for cell in addable_corners(lam, n)
+        })
+    return image.terms
+
+
 def suite_kerov():
     checks = []
 
@@ -554,10 +569,9 @@ def suite_kerov():
     for n in range(1, 5):
         for lam in _partitions_up_to(6, n):
             dv = DiagramVector.basis(lam, row_bound=n)
-            sv = SchurVector.basis(n, lam)
             for op in ("lower", "cartan", "raise"):
                 count += 1
-                if phi(hat_apply(op, dv, n)) != act_rho1(op, sv):
+                if hat_apply(op, dv, n).terms != _transported(op, lam, n):
                     bad += 1
     checks.append(Check(
         "kerov", "transport intertwines the first action (|lam|<=6, n<=4)",
@@ -566,14 +580,11 @@ def suite_kerov():
     count = bad = 0
     for n in range(1, 5):
         for d in range(7):
-            for lam in _partitions_up_to(6, n):
-                if lam and lam[0] > d:
-                    continue
+            for lam in _partitions_up_to(6, n, d):
                 dv = DiagramVector.basis(lam, row_bound=n)
-                sv = SchurVector.basis(n, lam)
                 for op in ("lower", "cartan", "raise"):
                     count += 1
-                    if phi(tilde_apply(op, dv, n, d)) != act_rho2(op, sv, d):
+                    if tilde_apply(op, dv, n, d).terms != _transported(op, lam, n, d):
                         bad += 1
     checks.append(Check(
         "kerov", "transport intertwines the second action (|lam|<=6, n<=4, d<=6)",
@@ -583,7 +594,7 @@ def suite_kerov():
     for n in range(1, 5):
         for k in range(1, 7):
             count += 1
-            if phi(pi_k(k, n)) != power_sum_schur(k, n):
+            if phi(pi_k(k, n)) != poly_to_schur(power_sum_poly(k, n)):
                 bad += 1
     for n in range(2, 5):
         for i in range(2, n + 1):
@@ -604,23 +615,15 @@ def suite_kerov():
         )
         for _ in range(5)
     ]
+    # U, -D, L satisfy the relations of raise, lower, cartan
+    as_sl2 = {"raise": ("U", 1), "lower": ("D", -1), "cartan": ("L", 1)}
     count = bad = 0
     diagrams = _partitions_up_to(7, 7)
     for params in pairs:
+        apply_op = lambda op, v, p=params: as_sl2[op][1] * kerov_apply(as_sl2[op][0], v, p)
         for lam in diagrams:
-            v = DiagramVector.basis(lam)
-            du = kerov_apply("D", kerov_apply("U", v, params), params)
-            ud = kerov_apply("U", kerov_apply("D", v, params), params)
             count += 1
-            if du - ud != kerov_apply("L", v, params):
-                bad += 1
-            lu = kerov_apply("L", kerov_apply("U", v, params), params)
-            ul = kerov_apply("U", kerov_apply("L", v, params), params)
-            if lu - ul != 2 * kerov_apply("U", v, params):
-                bad += 1
-            ld = kerov_apply("L", kerov_apply("D", v, params), params)
-            dl = kerov_apply("D", kerov_apply("L", v, params), params)
-            if ld - dl != -2 * kerov_apply("D", v, params):
+            if not _brackets_ok(apply_op, DiagramVector.basis(lam)):
                 bad += 1
     checks.append(Check(
         "kerov", "Kerov bracket relations (|lam|<=7, 5 rational parameter pairs)",

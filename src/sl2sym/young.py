@@ -14,7 +14,9 @@ from .combinatorics import (
     remove_cell,
     removable_corners,
 )
-from .symfunc import SchurVector, canonical_order, multiply, z_generator_schur
+from .sl2_actions import act_rho1, act_rho2
+from .symfunc import SchurVector, multiply, power_sum_schur, z_generator_schur
+from .vector import SparseVector, box_operator, op_constants
 
 
 class KerovParams(NamedTuple):
@@ -22,27 +24,23 @@ class KerovParams(NamedTuple):
     zprime: Fraction
 
 
-class DiagramVector:
+class DiagramVector(SparseVector):
     """Finite rational linear combination of Young diagrams.  `row_bound`
     is the maximal number of rows, or None for unbounded diagrams."""
 
-    __slots__ = ("row_bound", "terms")
+    __slots__ = ()
+    LETTER = "y"
+    row_bound = property(lambda self: self.ambient)
 
-    def __init__(self, row_bound: int | None, terms=None):
+    def _check_ambient(self, row_bound):
         if row_bound is not None and row_bound < 1:
             raise ValueError("row bound must be positive or None")
-        self.row_bound = row_bound
-        clean = {}
-        if terms:
-            for lam, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                lam = check_partition(lam)
-                if row_bound is not None and len(lam) > row_bound:
-                    raise ValueError(f"diagram {lam!r} has more than {row_bound} rows")
-                clean[lam] = c
-        self.terms = clean
+
+    def _check_key(self, lam):
+        lam = check_partition(lam)
+        if self.row_bound is not None and len(lam) > self.row_bound:
+            raise ValueError(f"diagram {lam!r} has more than {self.row_bound} rows")
+        return lam
 
     @classmethod
     def zero(cls, row_bound=None) -> "DiagramVector":
@@ -55,69 +53,6 @@ class DiagramVector:
     @classmethod
     def basis(cls, lam, row_bound=None) -> "DiagramVector":
         return cls(row_bound, {tuple(lam): 1})
-
-    def _require_same_bound(self, other: "DiagramVector"):
-        if self.row_bound != other.row_bound:
-            raise ValueError(
-                f"row bounds differ: {self.row_bound} vs {other.row_bound}"
-            )
-
-    def __add__(self, other: "DiagramVector") -> "DiagramVector":
-        self._require_same_bound(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) + c
-        return DiagramVector(self.row_bound, out)
-
-    def __sub__(self, other: "DiagramVector") -> "DiagramVector":
-        self._require_same_bound(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) - c
-        return DiagramVector(self.row_bound, out)
-
-    def __neg__(self) -> "DiagramVector":
-        return DiagramVector(self.row_bound, {lam: -c for lam, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DiagramVector(
-                self.row_bound, {lam: c * other for lam, c in self.terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiagramVector)
-            and self.row_bound == other.row_bound
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.row_bound, frozenset(self.terms.items())))
-
-    def map_basis(self, image, row_bound) -> "DiagramVector":
-        out = {}
-        for lam, c in self.terms.items():
-            for mu, a in image(lam).items():
-                out[mu] = out.get(mu, 0) + c * a
-        return DiagramVector(row_bound, out)
-
-    def sorted_terms(self) -> list:
-        return canonical_order(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"DiagramVector({self.row_bound}, 0)"
-        body = " + ".join(
-            f"{c}*y{list(lam)}" for lam, c in self.sorted_terms()
-        ).replace("+ -", "- ")
-        return f"DiagramVector({self.row_bound}, {body})"
 
 
 def xi_minus(lam) -> DiagramVector:
@@ -152,58 +87,19 @@ def nabla(sign: str, lam, row_bound: int | None = None) -> DiagramVector:
 
 
 def hat_apply(op: str, v: DiagramVector, n: int) -> DiagramVector:
-    """Transported first action on diagrams with at most n rows:
+    """Transported first action on diagrams with at most n rows, that is
+    act_rho1 relabelled through phi:
     lower = -(n xi_minus + nabla_minus), cartan = 2|lam| lam, raise = nabla_plus."""
-
-    def image(lam):
-        if len(lam) > n:
-            raise ValueError(f"diagram {lam!r} has more than {n} rows")
-        if op == "cartan":
-            return {lam: 2 * sum(lam)}
-        if op == "lower":
-            out = {}
-            for mu, c in xi_minus(lam).terms.items():
-                out[mu] = -n * c
-            for mu, c in nabla("-", lam).terms.items():
-                out[mu] = out.get(mu, 0) - c
-            return out
-        if op == "raise":
-            return nabla("+", lam, n).terms
-        raise ValueError(f"unknown operator {op!r}")
-
-    return v.map_basis(image, row_bound=n)
+    return phi_inverse(act_rho1(op, SchurVector(n, v.terms)))
 
 
 def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
-    """Transported second action on diagrams in the n x d box:
+    """Transported second action on diagrams in the n x d box, that is
+    act_rho2 relabelled through phi:
     lower = n xi_minus + nabla_minus (the lowering direction is opposite to
     the first action), cartan = (2|lam| - n*d) lam, raise adds a box with
     weight d - content (so column d+1 drops out)."""
-
-    def image(lam):
-        if len(lam) > n:
-            raise ValueError(f"diagram {lam!r} has more than {n} rows")
-        if lam and lam[0] > d:
-            raise ValueError(f"diagram {lam!r} violates the column bound {d}")
-        if op == "cartan":
-            return {lam: 2 * sum(lam) - n * d}
-        if op == "lower":
-            out = {}
-            for mu, c in xi_minus(lam).terms.items():
-                out[mu] = n * c
-            for mu, c in nabla("-", lam).terms.items():
-                out[mu] = out.get(mu, 0) + c
-            return out
-        if op == "raise":
-            out = {}
-            for cell in addable_corners(lam, n):
-                w = d - content(cell)
-                if w:
-                    out[add_cell(lam, cell)] = w
-            return out
-        raise ValueError(f"unknown operator {op!r}")
-
-    return v.map_basis(image, row_bound=n)
+    return phi_inverse(act_rho2(op, SchurVector(n, v.terms), d))
 
 
 def kerov_apply(
@@ -216,39 +112,25 @@ def kerov_apply(
     terms of that size or larger are rejected."""
     z = Fraction(params.z)
     zp = Fraction(params.zprime)
+    table = {"U": ("add", z, 1), "L": ("diagonal", z * zp, 2), "D": ("remove", zp, 1)}
+    constants = op_constants(table, op)
     if cutoff is not None:
         for lam in v.terms:
             if sum(lam) >= cutoff:
                 raise ValueError(f"term {lam!r} reaches the size cutoff {cutoff}")
-
-    def image(lam):
-        if op == "U":
-            return {
-                add_cell(lam, cell): z + content(cell)
-                for cell in addable_corners(lam, len(lam) + 1)
-            }
-        if op == "L":
-            return {lam: z * zp + 2 * sum(lam)}
-        if op == "D":
-            return {
-                remove_cell(lam, cell): zp + content(cell)
-                for cell in removable_corners(lam)
-            }
-        raise ValueError(f"unknown operator {op!r}")
-
-    return v.map_basis(image, row_bound=None)
+    return box_operator(v, constants, None)
 
 
 def phi(v: DiagramVector) -> SchurVector:
     """Relabel diagrams as Schur basis elements."""
     if v.row_bound is None:
         raise ValueError("need a row-bounded diagram vector")
-    return SchurVector(v.row_bound, v.terms)
+    return SchurVector._closed(v.row_bound, v.terms)
 
 
 def phi_inverse(u: SchurVector) -> DiagramVector:
     """Relabel Schur basis elements as diagrams."""
-    return DiagramVector(u.n, u.terms)
+    return DiagramVector._closed(u.n, u.terms)
 
 
 def diagram_multiply(u: DiagramVector, v: DiagramVector) -> DiagramVector:
@@ -259,13 +141,7 @@ def diagram_multiply(u: DiagramVector, v: DiagramVector) -> DiagramVector:
 def pi_k(k: int, n: int) -> DiagramVector:
     """Preimage of the power sum p_k: the alternating hook sum
     (k) - (k-1,1) + (k-2,1,1) - ..., kept to at most n rows."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    terms = {}
-    for j in range(min(k, n)):
-        hook = (k - j,) + (1,) * j
-        terms[hook] = (-1) ** j
-    return DiagramVector(n, terms)
+    return phi_inverse(power_sum_schur(k, n))
 
 
 def zeta(i: int, n: int) -> DiagramVector:

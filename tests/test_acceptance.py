@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -191,6 +192,7 @@ def test_criterion_12_cli():
     t0 = time.monotonic()
     full = _run_cli(["verify", "--suite", "all"])
     elapsed = time.monotonic() - t0
-    ok = stable and full.returncode == 0 and elapsed < 300
+    expected = Path(__file__).with_name("verify_all.txt").read_bytes()
+    ok = stable and full.returncode == 0 and full.stdout == expected and elapsed < 300
     report(12, f"500-expression parser round trip, byte-stable JSON examples, "
-               f"full verification in {elapsed:.1f}s < 300s", ok)
+               f"full verification output as recorded in {elapsed:.1f}s < 300s", ok)

@@ -159,3 +159,31 @@ def test_format_terms():
     assert format_terms([], "s") == "0"
     assert format_terms([((), Fraction(1, 2))], "y") == "1/2*y[]"
     assert format_terms([((1,), Fraction(1)), ((2,), Fraction(-1))], "s") == "s[1] - s[2]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--rep", "rho2", "--op", "raise", "--n", "2", "--d", "-1", "--expr", "s[]"],
+    ["character", "--n", "2", "--d", "-3"],
+    ["decompose", "--n", "-1", "--d", "2"],
+    ["decompose", "--n", "3", "--max-weight", "-2"],
+    ["kernel", "--rep", "rho1", "--n", "3", "--max-degree", "-1"],
+])
+def test_out_of_domain_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+def test_empty_box_stays_valid(capsys):
+    code, out, _ = run_cli(capsys, "character", "--n", "0", "--d", "3")
+    assert code == 0 and out.strip() == "0 1"
+    code, out, _ = run_cli(capsys, "decompose", "--n", "3", "--d", "0")
+    assert code == 0 and out.strip() == "V[0]"
+
+
+def test_deep_nesting_exits_2_without_traceback(capsys):
+    expr = "(" * 3000 + "s[1]" + ")" * 3000
+    code, out, err = run_cli(
+        capsys, "act", "--rep", "rho1", "--op", "raise", "--n", "2", "--expr", expr,
+    )
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,0 +1,71 @@
+"""Property tests on random sparse vectors (n <= 5 rows, |lam| <= 8, random
+rational coefficients): the bracket relations of every representation, and
+the transported actions against their explicit formulas."""
+
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from sl2sym.combinatorics import partitions
+from sl2sym.sl2_actions import act_rho1, act_rho2
+from sl2sym.symfunc import SchurVector
+from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
+
+from test_young import transported
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def sparse_terms(draw):
+    """(n, d, terms): partitions of size <= 8 in at most n rows and, where
+    d is not None, at most d columns."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.one_of(st.none(), st.integers(0, 6)))
+    shapes = [lam for m in range(9) for lam in partitions(m, n, d)]
+    keys = draw(st.lists(st.sampled_from(shapes), max_size=6, unique=True))
+    return n, d, {lam: draw(rationals) for lam in keys}
+
+
+def representation(rep, n, d, params):
+    """(vector, apply_op) with operators named raise, lower, cartan; the
+    Kerov operators U, -D, L satisfy the same relations."""
+    if rep == "rho1":
+        return SchurVector, lambda op, v: act_rho1(op, v)
+    if rep == "rho2":
+        return SchurVector, lambda op, v: act_rho2(op, v, d)
+    if rep == "hat":
+        return DiagramVector, lambda op, v: hat_apply(op, v, n)
+    if rep == "tilde":
+        return DiagramVector, lambda op, v: tilde_apply(op, v, n, d)
+    kerov = {"raise": ("U", 1), "lower": ("D", -1), "cartan": ("L", 1)}
+    return DiagramVector, lambda op, v: kerov[op][1] * kerov_apply(kerov[op][0], v, params)
+
+
+@pytest.mark.parametrize("rep", ["rho1", "rho2", "hat", "tilde", "kerov"])
+@given(data=sparse_terms(), z=rationals, zprime=rationals, fallback_d=st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_bracket_relations(rep, data, z, zprime, fallback_d):
+    n, d, terms = data
+    if d is None and rep in ("rho2", "tilde"):
+        d = fallback_d
+        terms = {lam: c for lam, c in terms.items() if not lam or lam[0] <= d}
+    cls, apply_op = representation(rep, n, d, KerovParams(z, zprime))
+    v = cls(None if rep == "kerov" else n, terms)
+    r, l, h = (lambda u, op=op: apply_op(op, u) for op in ("raise", "lower", "cartan"))
+    assert r(l(v)) - l(r(v)) == h(v)
+    assert h(r(v)) - r(h(v)) == 2 * r(v)
+    assert h(l(v)) - l(h(v)) == -2 * l(v)
+
+
+@given(data=sparse_terms(), op=st.sampled_from(["lower", "cartan", "raise"]))
+@settings(max_examples=150, deadline=None)
+def test_transported_actions_equal_explicit_formulas(data, op):
+    n, d, terms = data
+    v = DiagramVector(n, terms)
+    assert hat_apply(op, v, n).terms == transported(op, v, n)
+    if d is not None:
+        assert tilde_apply(op, v, n, d).terms == transported(op, v, n, d)
+    assert all(type(c) is Fraction for c in hat_apply(op, v, n).terms.values())

@@ -1,0 +1,103 @@
+from fractions import Fraction
+
+import pytest
+
+from sl2sym.polyring import Poly
+from sl2sym.sl2_actions import act_rho1, act_rho2, graded_matrix, rho1_constants, rho2_constants
+from sl2sym.symfunc import SchurVector
+from sl2sym.vector import SparseVector, box_image, box_operator
+from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
+
+ALGEBRA = ("__init__", "__add__", "__sub__", "__neg__", "__eq__", "__hash__", "__bool__", "__pow__")
+
+
+def test_one_class_holds_the_algebra():
+    for cls in (Poly, SchurVector, DiagramVector):
+        assert issubclass(cls, SparseVector)
+        assert not [name for name in ALGEBRA if name in vars(cls)]
+
+
+def test_ambient_attributes():
+    assert Poly(2).n == 2 and SchurVector(3).n == 3
+    assert DiagramVector(4).row_bound == 4 and DiagramVector(None).row_bound is None
+    assert not hasattr(DiagramVector(4), "n")
+    assert not hasattr(SchurVector(3), "row_bound")
+
+
+def test_closed_results_drop_zeros_and_keep_fractions():
+    v = SchurVector(3, {(2, 1): Fraction(1, 2), (1,): 3})
+    assert (v - v).terms == {} and not v * 0 and not -v + v
+    for w in (v + v, -v, 2 * v, v * Fraction(2, 3), v ** 2, act_rho1("raise", v)):
+        assert w and all(type(c) is Fraction for c in w.terms.values())
+    assert v ** 0 == SchurVector.unit(3)
+    assert Poly.variable(2, 1) ** 0 == Poly.constant(2, 1)
+
+
+def test_checked_constructor_and_map_basis():
+    with pytest.raises(ValueError):
+        SchurVector(0)
+    with pytest.raises(ValueError):
+        DiagramVector(0)
+    with pytest.raises(ValueError):
+        Poly(2, {(1, 0, 0): 1})
+    v = SchurVector.basis(2, (1,))
+    with pytest.raises(ValueError):
+        v.map_basis(lambda lam: {(1, 1, 1): 1})
+    assert v.map_basis(lambda lam: {lam + (1,): 2}) == SchurVector(2, {(1, 1): 2})
+
+
+def test_mixing_vector_types_raises():
+    with pytest.raises(TypeError):
+        SchurVector.unit(2) + DiagramVector.unit(2)
+    with pytest.raises(ValueError):
+        SchurVector.unit(2) - SchurVector.unit(3)
+    assert SchurVector.unit(2) != DiagramVector.unit(2)
+
+
+def test_repr():
+    assert repr(SchurVector(3, {(2, 1): -1, (): Fraction(1, 2)})) == "SchurVector(3, 1/2*s[] - 1*s[2, 1])"
+    assert repr(DiagramVector.zero()) == "DiagramVector(None, 0)"
+    assert repr(Poly.monomial(2, (1, 0), 3)) == "Poly(2, 3*x^[1, 0])"
+
+
+def test_box_image_parts():
+    assert box_image((2, 1), ("remove", 0, 1), 3) == [((1, 1), 1), ((2,), -1)]
+    assert box_image((2, 1), ("add", 5, 1), None) == [((3, 1), 7), ((2, 2), 5), ((2, 1, 1), 3)]
+    assert box_image((2, 1), ("add", 5, 1), 2) == [((3, 1), 7), ((2, 2), 5)]
+    assert box_image((2, 1), ("diagonal", 1, 2), 3) == [((2, 1), 7)]
+
+
+def test_box_operator_unbounded_result():
+    v = DiagramVector.basis((1,), 1)
+    out = box_operator(v, ("add", 1, 0), None)
+    assert out == DiagramVector(None, {(2,): 1, (1, 1): 1})
+
+
+def test_graded_matrix():
+    # rho1 raising in two rows: s_1 -> s_2 - s_11 (the added cells have contents 1 and -1)
+    assert graded_matrix(rho1_constants(2)["raise"], [(1,)], [(2,), (1, 1)], 2) == [[1], [-1]]
+    # rho2 raising never reaches column d + 1
+    assert graded_matrix(rho2_constants(2, 1)["raise"], [(1,)], [(1, 1)], 2) == [[2]]
+
+
+PARAMS = KerovParams(Fraction(1, 2), Fraction(-3))
+UNKNOWN_OPERATOR = [
+    ("rho1", lambda: act_rho1("bogus", SchurVector.zero(3))),
+    ("rho2", lambda: act_rho2("bogus", SchurVector.zero(3), 2)),
+    ("hat", lambda: hat_apply("bogus", DiagramVector.zero(3), 3)),
+    ("tilde", lambda: tilde_apply("bogus", DiagramVector.zero(3), 3, 2)),
+    ("kerov", lambda: kerov_apply("bogus", DiagramVector.zero(), PARAMS)),
+]
+
+
+@pytest.mark.parametrize("rep, call", UNKNOWN_OPERATOR, ids=[rep for rep, _ in UNKNOWN_OPERATOR])
+def test_unknown_operator_raises_on_every_input(rep, call):
+    with pytest.raises(ValueError, match="unknown operator"):
+        call()
+
+
+def test_negative_column_bound_rejected():
+    with pytest.raises(ValueError):
+        act_rho2("raise", SchurVector.unit(2), -1)
+    with pytest.raises(ValueError):
+        tilde_apply("cartan", DiagramVector.unit(2), 2, -1)

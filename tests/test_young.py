@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2sym.combinatorics import partitions
-from sl2sym.sl2_actions import act_rho1, act_rho2
+from sl2sym.combinatorics import add_cell, addable_corners, content, partitions
 from sl2sym.symfunc import SchurVector, power_sum_schur, z_generator_schur, z_monomial_schur
 from sl2sym.young import (
     DiagramVector,
@@ -65,18 +64,35 @@ def test_tilde_apply_examples():
         tilde_apply("lower", DiagramVector.basis((3,), 2), 2, 2)
 
 
+def transported(op, v, n, d=None):
+    """The transported first action (d None) or second action as the paper
+    writes them: explicit box sums built from xi_minus and nabla, and for
+    the second raising, the addable cells weighted by d - content."""
+    out = DiagramVector.zero()
+    for lam, c in v.terms.items():
+        if op == "cartan":
+            image = dv({lam: 2 * sum(lam) - n * (d or 0)})
+        elif op == "lower":
+            image = (-1 if d is None else 1) * (n * xi_minus(lam) + nabla("-", lam))
+        elif d is None:
+            image = dv(nabla("+", lam, n).terms)
+        else:
+            image = dv({add_cell(lam, cell): d - content(cell) for cell in addable_corners(lam, n)})
+        out = out + c * image
+    return out.terms
+
+
 def test_transport_identities():
     for n in (1, 2, 3):
         for size in range(5):
             for lam in partitions(size, n):
                 d_vec = DiagramVector.basis(lam, n)
-                s_vec = SchurVector.basis(n, lam)
                 for op in ("lower", "cartan", "raise"):
-                    assert phi(hat_apply(op, d_vec, n)) == act_rho1(op, s_vec)
+                    assert hat_apply(op, d_vec, n).terms == transported(op, d_vec, n)
                     for d in (2, 4):
                         if lam and lam[0] > d:
                             continue
-                        assert phi(tilde_apply(op, d_vec, n, d)) == act_rho2(op, s_vec, d)
+                        assert tilde_apply(op, d_vec, n, d).terms == transported(op, d_vec, n, d)
 
 
 def test_kerov_examples():
