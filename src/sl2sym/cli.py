@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .exprlang import EvalError, ParseError, evaluate, parse
+from .exprlang import EvalError, ParseError, degree, evaluate, parse
 from .sl2_actions import (
     act_rho1,
     act_rho2,
@@ -74,9 +74,15 @@ def _cmd_act(args) -> tuple[str, dict]:
         raise CliError(f"--d is required for representation {rep!r}")
     if rep == "kerov" and (args.z is None or args.zprime is None):
         raise CliError("--z and --zprime are required for the Kerov operators")
+    if args.n < 0:
+        raise CliError(f"--n must be >= 0, got {args.n}")
 
     mode = "schur" if rep in ("rho1", "rho2") else "diagram"
-    vec = evaluate(parse(args.expr), args.n, mode)
+    tree = parse(args.expr)
+    # The Kerov operators act on unbounded diagrams, so their input is
+    # evaluated with a row for every box: no product is truncated.
+    rows = max(args.n, degree(tree)) if rep == "kerov" else args.n
+    vec = evaluate(tree, rows, mode)
 
     if rep == "rho1":
         out = act_rho1(op, vec)

@@ -203,6 +203,26 @@ def print_expr(e) -> str:
     raise ValueError(f"unknown node {kind!r}")
 
 
+def degree(e) -> int:
+    """A bound on the degree of every term of the expression tree: atoms
+    have the size of their partition or their index, products add degrees
+    and powers multiply them."""
+    kind = e[0]
+    if kind == "num":
+        return 0
+    if kind == "atom":
+        return sum(e[2])
+    if kind == "neg":
+        return degree(e[1])
+    if kind == "pow":
+        return e[2] * degree(e[1])
+    if kind == "mul":
+        return degree(e[1]) + degree(e[2])
+    if kind in ("add", "sub"):
+        return max(degree(e[1]), degree(e[2]))
+    raise ValueError(f"unknown node {kind!r}")
+
+
 def _eval_schur(e, n: int, allow_diagram_atoms: bool) -> SchurVector:
     kind = e[0]
     if kind == "num":

@@ -14,15 +14,16 @@ from .vector import SparseVector, box_operator
 
 class SchurVector(SparseVector):
     """Finite rational linear combination of Schur basis elements s_lambda,
-    all partitions having at most `n` rows."""
+    all partitions having at most `n` rows.  n = 0 is the algebra of no
+    variables, the rationals: only s_() is a key."""
 
     __slots__ = ()
     LETTER = "s"
     n = property(lambda self: self.ambient)
 
     def _check_ambient(self, n):
-        if n < 1:
-            raise ValueError("need at least one variable")
+        if n < 0:
+            raise ValueError(f"need n >= 0 variables, got {n}")
 
     def _check_key(self, lam):
         lam = check_partition(lam)
@@ -122,15 +123,56 @@ def poly_to_schur(f: Poly) -> SchurVector:
     return SchurVector(n, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
-    prod = schur_to_poly(lam, n) * schur_to_poly(mu, n)
-    return poly_to_schur(prod).terms
+    """s_lam * s_mu in n variables as {nu: Littlewood-Richardson coefficient}
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.9).  The
+    coefficient of s_nu counts the fillings of nu/lam with mu_k copies of
+    the letter k in which each letter's cells form a horizontal strip and
+    the reading word (rows top to bottom, each right to left) is a lattice
+    word.  No shape grows past n rows: that truncates the stable product to
+    n variables, where s_nu = 0 for len(nu) > n.  The monomial expansion
+    (`schur_to_poly`, `poly_to_schur`) is the oracle the tests check this
+    against."""
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam
+    if not mu:
+        return {lam: 1}
+    out = {}
+
+    def fill(k, r, base, shape, counts, prev, left, budget):
+        # Place the `left` remaining cells of letter k from row r down, on
+        # top of `base` (the shape before letter k).  prev[r] counts the
+        # letter k-1 in row r; `budget` is (k-1's in rows < r) minus (k's in
+        # rows < r), the lattice bound on the k's allowed in row r.
+        if not left:
+            if k + 1 == len(mu):
+                nu = tuple(p for p in shape if p)
+                out[nu] = out.get(nu, 0) + 1
+            else:
+                fill(k + 1, 0, tuple(shape), shape, [0] * n, counts, mu[k + 1], 0)
+            return
+        if r == n or (r and not base[r - 1]):
+            return
+        # Horizontal strip: row r may not pass the old end of row r-1.
+        cap = left if r == 0 else min(left, base[r - 1] - base[r])
+        if k:
+            cap = min(cap, budget)
+        for a in range(cap, -1, -1):
+            shape[r] = base[r] + a
+            counts[r] = a
+            fill(k, r + 1, base, shape, counts, prev, left - a, budget - a + prev[r])
+        shape[r] = base[r]
+        counts[r] = 0
+
+    start = list(lam) + [0] * (n - len(lam))
+    fill(0, 0, tuple(start), start, [0] * n, [0] * n, mu[0], 0)
+    return out
 
 
 def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
-    """Product in the Schur basis; partitions with too many rows drop out
-    automatically on the polynomial side."""
+    """Product in the Schur basis by the Littlewood-Richardson rule (see
+    `_basis_product`), truncated to the n rows of the operands."""
     u._same_ambient(v)
     out = {}
     for lam, a in u.terms.items():
@@ -138,7 +180,7 @@ def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
             key = (lam, mu) if lam <= mu else (mu, lam)
             for nu, c in _basis_product(key[0], key[1], u.n).items():
                 out[nu] = out.get(nu, 0) + a * b * c
-    return SchurVector(u.n, out)
+    return SchurVector._closed(u.n, out)
 
 
 def pieri_e1(u: SchurVector) -> SchurVector:

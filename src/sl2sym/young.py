@@ -26,15 +26,16 @@ class KerovParams(NamedTuple):
 
 class DiagramVector(SparseVector):
     """Finite rational linear combination of Young diagrams.  `row_bound`
-    is the maximal number of rows, or None for unbounded diagrams."""
+    is the maximal number of rows (0 leaves only the empty diagram), or
+    None for unbounded diagrams."""
 
     __slots__ = ()
     LETTER = "y"
     row_bound = property(lambda self: self.ambient)
 
     def _check_ambient(self, row_bound):
-        if row_bound is not None and row_bound < 1:
-            raise ValueError("row bound must be positive or None")
+        if row_bound is not None and row_bound < 0:
+            raise ValueError(f"row bound must be >= 0 or None, got {row_bound}")
 
     def _check_key(self, lam):
         lam = check_partition(lam)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from sl2sym.cli import build_parser, format_terms, main
+from sl2sym.sl2_actions import act_rho1
+from sl2sym.symfunc import SchurVector, pieri_e1
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,8 @@ def test_format_terms():
     ["decompose", "--n", "-1", "--d", "2"],
     ["decompose", "--n", "3", "--max-weight", "-2"],
     ["kernel", "--rep", "rho1", "--n", "3", "--max-degree", "-1"],
+    ["act", "--rep", "kerov", "--op", "U", "--n", "-1", "--z", "0", "--zprime", "0",
+     "--expr", "y[1]"],
 ])
 def test_out_of_domain_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -178,6 +182,28 @@ def test_empty_box_stays_valid(capsys):
     assert code == 0 and out.strip() == "0 1"
     code, out, _ = run_cli(capsys, "decompose", "--n", "3", "--d", "0")
     assert code == 0 and out.strip() == "V[0]"
+    code, out, _ = run_cli(capsys, "kernel", "--rep", "rho2", "--n", "0", "--d", "2")
+    assert code == 0 and out.strip() == "weight 0: s[]"
+
+
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_kerov_result_does_not_depend_on_n(capsys, n):
+    kerov = ["act", "--rep", "kerov", "--op", "U", "--z", "0", "--zprime", "0", "--n", n]
+    code, out, _ = run_cli(capsys, *kerov, "--expr", "y[1]*y[1]")
+    assert code == 0 and out.strip() == "2*y[3] - 2*y[1,1,1]"
+    code, out, _ = run_cli(capsys, *kerov, "--expr", "y[1,1]")
+    assert code == 0 and out.strip() == "y[2,1] - 2*y[1,1,1]"
+
+
+def test_large_power_finishes(capsys):
+    code, out, err = run_cli(
+        capsys, "act", "--rep", "rho1", "--op", "lower", "--n", "6", "--expr", "s[1]^14",
+    )
+    v = SchurVector.unit(6)
+    for _ in range(14):
+        v = pieri_e1(v)
+    assert code == 0 and not err
+    assert out.strip() == format_terms(act_rho1("lower", v).sorted_terms(), "s")
 
 
 def test_deep_nesting_exits_2_without_traceback(capsys):

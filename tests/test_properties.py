@@ -1,6 +1,7 @@
 """Property tests on random sparse vectors (n <= 5 rows, |lam| <= 8, random
-rational coefficients): the bracket relations of every representation, and
-the transported actions against their explicit formulas."""
+rational coefficients): the bracket relations of every representation, the
+transported actions against their explicit formulas, and the
+Littlewood-Richardson product against the monomial expansion."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 
 from sl2sym.combinatorics import partitions
 from sl2sym.sl2_actions import act_rho1, act_rho2
-from sl2sym.symfunc import SchurVector
+from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
 from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
 
 from test_young import transported
@@ -69,3 +70,20 @@ def test_transported_actions_equal_explicit_formulas(data, op):
     if d is not None:
         assert tilde_apply(op, v, n, d).terms == transported(op, v, n, d)
     assert all(type(c) is Fraction for c in hat_apply(op, v, n).terms.values())
+
+
+@st.composite
+def basis_pairs(draw):
+    """(n, lam, mu): partitions in at most n <= 5 rows, |lam| + |mu| <= 8."""
+    n = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from([lam for m in range(9) for lam in partitions(m, n)]))
+    mu = draw(st.sampled_from([mu for m in range(9 - sum(lam)) for mu in partitions(m, n)]))
+    return n, lam, mu
+
+
+@given(pair=basis_pairs())
+@settings(max_examples=60, deadline=None)
+def test_product_equals_monomial_oracle(pair):
+    n, lam, mu = pair
+    product = multiply(SchurVector.basis(n, lam), SchurVector.basis(n, mu))
+    assert product == poly_to_schur(schur_to_poly(lam, n) * schur_to_poly(mu, n))

@@ -85,6 +85,23 @@ def test_multiply_examples():
         multiply(SchurVector.unit(2), SchurVector.unit(3))
 
 
+def test_multiply_littlewood_richardson_examples():
+    stable = {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1,
+              (2, 2, 2): 1, (2, 2, 1, 1): 1}
+    for n in (4, 5, 6):
+        assert SchurVector.basis(n, (2, 1)) ** 2 == sv(n, stable)
+    truncated = {lam: c for lam, c in stable.items() if len(lam) <= 3}
+    assert SchurVector.basis(3, (2, 1)) ** 2 == sv(3, truncated)
+    assert SchurVector.unit(0) ** 2 == SchurVector.unit(0)
+
+
+def test_multiply_equals_monomial_oracle_at_six_rows():
+    f = schur_to_poly((3, 2, 1), 6)
+    square = SchurVector.basis(6, (3, 2, 1)) ** 2
+    assert square == poly_to_schur(f * f)
+    assert len(square.terms) == 34 and square.terms[(4, 3, 2, 2, 1)] == 4
+
+
 def test_multiply_structure_constants():
     for n in (2, 3):
         for lam in [(1,), (2,), (2, 1)]:

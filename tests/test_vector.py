@@ -35,9 +35,13 @@ def test_closed_results_drop_zeros_and_keep_fractions():
 
 def test_checked_constructor_and_map_basis():
     with pytest.raises(ValueError):
-        SchurVector(0)
+        SchurVector(-1)
     with pytest.raises(ValueError):
-        DiagramVector(0)
+        DiagramVector(-1)
+    for cls in (SchurVector, DiagramVector):
+        with pytest.raises(ValueError):
+            cls(0, {(1,): 1})
+        assert cls(0, {(): 2}).terms == {(): 2}
     with pytest.raises(ValueError):
         Poly(2, {(1, 0, 0): 1})
     v = SchurVector.basis(2, (1,))
