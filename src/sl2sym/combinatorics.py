@@ -2,7 +2,7 @@
 decompositions: rectangle-bounded partition counts, Gaussian binomial
 coefficients, and the Cayley-Sylvester multiplicity formula."""
 
-from functools import cache
+from functools import cache, lru_cache
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -132,6 +132,21 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
+@lru_cache(maxsize=1024)
+def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
+    """Coefficients, ascending in T, of the Gaussian binomial [a choose k]
+    = prod_{j=1..k} (1 - T^(a-k+j)) / (1 - T^j), a polynomial of degree
+    k*(a-k).  The division is exact or raises ArithmeticError."""
+    if k < 0 or a < k:
+        raise ValueError(f"need 0 <= k <= a, got a={a}, k={k}")
+    num = [1]
+    den = [1]
+    for j in range(1, k + 1):
+        num = _poly_mul(num, [1] + [0] * (a - k + j - 1) + [-1])
+        den = _poly_mul(den, [1] + [0] * (j - 1) + [-1])
+    return tuple(_poly_divexact(num, den))
+
+
 def gamma(a: int, n: int, i: int) -> int:
     """Coefficient of T^i in prod_{j=1..n} (1 - T^(a-n+j)) / (1 - T^j),
     i.e. the Gaussian binomial coefficient [a choose n] at T^i."""
@@ -141,19 +156,16 @@ def gamma(a: int, n: int, i: int) -> int:
         raise ValueError(f"need a >= n, got a={a}, n={n}")
     if i < 0:
         return 0
-    num = [1]
-    den = [1]
-    for j in range(1, n + 1):
-        num = _poly_mul(num, [1] + [0] * (a - n + j - 1) + [-1])
-        den = _poly_mul(den, [1] + [0] * (j - 1) + [-1])
-    quot = _poly_divexact(num, den)
-    return quot[i] if i < len(quot) else 0
+    coeffs = gaussian_binomial(a, n)
+    return coeffs[i] if i < len(coeffs) else 0
 
 
 def sylvester_cayley(n: int, d: int, i: int) -> int:
     """Multiplicity of the highest weight i in the n-th symmetric power of
     the standard (d+1)-dimensional module, as a difference of Gaussian
     binomial coefficients.  Zero when d*n - i is odd or negative."""
+    if n < 0 or d < 0:
+        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     if n == 0:
         return 1 if i == 0 else 0
     t = d * n - i

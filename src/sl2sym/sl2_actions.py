@@ -6,7 +6,13 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .combinatorics import alpha_degree, alpha_tuples, count_lw_solutions, partitions
+from .combinatorics import (
+    alpha_degree,
+    alpha_tuples,
+    count_lw_solutions,
+    gaussian_binomial,
+    partitions,
+)
 from .symfunc import SchurVector, elementary_schur, multiply, power_sum_schur, z_monomial_schur
 from .vector import box_image, box_operator, op_constants
 
@@ -121,46 +127,38 @@ def decompose_lambda_n(n: int, max_weight_half: int) -> dict[int, int]:
     return out
 
 
+def _box_binomial(n: int, d: int) -> tuple[int, ...]:
+    """Coefficients of [n+d choose n]; the T^m one counts the partitions
+    of m in the n x d box."""
+    if n < 0 or d < 0:
+        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
+    return gaussian_binomial(n + d, n)
+
+
 def character_finite(n: int, d: int) -> dict[int, int]:
     """Cartan eigenvalue multiplicities 2|lam| - n*d over all partitions in
     the n x d box."""
-    if n < 0 or d < 0:
-        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
-    char: dict[int, int] = {}
-    for m in range(n * d + 1):
-        for _ in partitions(m, n, d):
-            w = 2 * m - n * d
-            char[w] = char.get(w, 0) + 1
-    return char
+    return {2 * m - n * d: c for m, c in enumerate(_box_binomial(n, d))}
 
 
 def decompose_finite(n: int, d: int) -> dict[int, int]:
-    """Irreducible multiplicities by peeling the character top-down: the
-    largest remaining exponent always belongs to a fresh irreducible, so
-    subtract its full weight string and repeat until nothing is left."""
-    remaining = dict(character_finite(n, d))
-    decomp: dict[int, int] = {}
-    while remaining:
-        top = max(remaining)
-        mult = remaining[top]
-        if top < 0:
-            raise ArithmeticError("character peeling left only negative weights")
-        decomp[top] = mult
-        for w in range(-top, top + 1, 2):
-            c = remaining.get(w, 0) - mult
-            if c < 0:
-                raise ArithmeticError("character peeling went negative")
-            if c:
-                remaining[w] = c
-            else:
-                remaining.pop(w, None)
+    """Irreducible multiplicities i -> c_i, highest weight first.  By the
+    Cayley-Sylvester formula c_(nd-2m) is the T^m coefficient of
+    [n+d choose n] minus its T^(m-1) coefficient, for 2m <= nd."""
+    coeffs = _box_binomial(n, d)
+    decomp = {}
+    for m in range(n * d // 2 + 1):
+        mult = coeffs[m] - (coeffs[m - 1] if m else 0)
+        if mult:
+            decomp[n * d - 2 * m] = mult
     return decomp
 
 
 def rational_rref(rows: list[list[Fraction]]):
     """Reduced row echelon form over exact rationals with deterministic
     pivoting (first nonzero column, smallest row index).  Returns the
-    reduced matrix and the pivot column list."""
+    reduced matrix and the pivot column list.  Each elimination step only
+    touches the columns where the pivot row is nonzero."""
     m = [[Fraction(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -171,12 +169,18 @@ def rational_rref(rows: list[list[Fraction]]):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        # earlier columns of the pivot row are already zero
+        support = [j for j in range(c, ncols) if prow[j]]
+        pv = prow[c]
+        for j in support:
+            prow[j] /= pv
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and row[c]:
+                f = row[c]
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -190,7 +194,8 @@ def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Frac
     if not rows:
         rows = [[Fraction(0)] * ncols]
     m, pivots = rational_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols

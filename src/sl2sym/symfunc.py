@@ -54,7 +54,7 @@ def staircase(n: int) -> Partition:
     return tuple(range(n - 1, -1, -1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def schur_to_poly(lam: Partition, n: int) -> Poly:
     """Schur polynomial in n variables by semistandard tableau enumeration:
     rows weakly increase, columns strictly increase, entries in 1..n; each
@@ -214,7 +214,7 @@ def homogeneous_schur(i: int, n: int) -> SchurVector:
     return SchurVector(n, {((i,) if i else ()): 1})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def z_generator_schur(i: int, n: int) -> SchurVector:
     """Schur expansion of the kernel generator z_i, built from the power-sum
     hooks; empty for odd i when n = 2."""

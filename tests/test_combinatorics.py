@@ -10,6 +10,7 @@ from sl2sym.combinatorics import (
     count_lw_solutions,
     count_partitions_in_rectangle,
     gamma,
+    gaussian_binomial,
     partitions,
     remove_cell,
     removable_corners,
@@ -82,6 +83,14 @@ def test_gamma_examples():
     assert gamma(4, 2, 5) == 0
     with pytest.raises(ValueError):
         gamma(2, 3, 0)
+    with pytest.raises(ValueError):
+        gamma(3, 0, 0)
+    assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
+    assert gaussian_binomial(5, 0) == gaussian_binomial(5, 5) == (1,)
+    assert gaussian_binomial(20, 10)[50] == count_partitions_in_rectangle(10, 10, 50)
+    for a, k in ((2, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            gaussian_binomial(a, k)
 
 
 def test_gamma_matches_rectangle_counts():
@@ -106,6 +115,10 @@ def test_sylvester_cayley_examples():
     assert sylvester_cayley(2, 2, 4) == 1
     assert sylvester_cayley(2, 2, 2) == 0
     assert sylvester_cayley(2, 2, 0) == 1
+    assert sylvester_cayley(0, 2, 0) == sylvester_cayley(2, 0, 0) == 1
+    for n, d, i in ((-1, 2, 0), (2, -1, 0), (2, -1, -4), (0, -1, 0)):
+        with pytest.raises(ValueError, match=f"n={n}, d={d}"):
+            sylvester_cayley(n, d, i)
 
 
 def test_sylvester_cayley_dimension_identity():

@@ -1,16 +1,19 @@
 """Property tests on random sparse vectors (n <= 5 rows, |lam| <= 8, random
 rational coefficients): the bracket relations of every representation, the
 transported actions against their explicit formulas, and the
-Littlewood-Richardson product against the monomial expansion."""
+Littlewood-Richardson product against the monomial expansion.  Also the
+exact row reduction against sympy's on random sparse rational matrices,
+and the dimension identity of one large finite decomposition."""
 
 from fractions import Fraction
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from sl2sym.combinatorics import partitions
-from sl2sym.sl2_actions import act_rho1, act_rho2
+from sl2sym.sl2_actions import act_rho1, act_rho2, decompose_finite, rational_rref
 from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
 from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
 
@@ -87,3 +90,33 @@ def test_product_equals_monomial_oracle(pair):
     n, lam, mu = pair
     product = multiply(SchurVector.basis(n, lam), SchurVector.basis(n, mu))
     assert product == poly_to_schur(schur_to_poly(lam, n) * schur_to_poly(mu, n))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 8 x 10 rational matrices with about a third of the entries
+    nonzero."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@given(rows=sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_equals_sympy(sympy, rows):
+    reduced, pivots = rational_rref(rows)
+    expected, expected_pivots = sympy.Matrix(rows).rref()
+    assert pivots == list(expected_pivots)
+    assert reduced == [
+        [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(rows))
+    ]
+
+
+def test_large_decomposition_dimension_identity():
+    decomp = decompose_finite(12, 12)
+    assert sum((i + 1) * c for i, c in decomp.items()) == comb(24, 12)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2sym.combinatorics import count_lw_solutions, partitions, sylvester_cayley
+from sl2sym.combinatorics import count_lw_solutions, partitions
 from sl2sym.polyring import rho1_apply, rho2_apply
 from sl2sym.sl2_actions import (
     act_rho1,
@@ -26,6 +26,7 @@ from sl2sym.symfunc import (
     schur_to_poly,
     z_generator_schur,
 )
+from sl2sym.verify import peel_character
 
 
 def basis(n, lam):
@@ -138,12 +139,20 @@ def test_decompose_lambda_n():
         assert decompose_lambda_n(n, 0) == {0: 1}
 
 
+def box_character(n, d):
+    """The box character by counting partitions in the n x d box, the
+    slow oracle for the Gaussian-binomial character."""
+    return {2 * m - n * d: sum(1 for _ in partitions(m, n, d)) for m in range(n * d + 1)}
+
+
 def test_character_finite():
     assert character_finite(2, 2) == {-4: 1, -2: 1, 0: 2, 2: 1, 4: 1}
     assert character_finite(1, 1) == {-1: 1, 1: 1}
-    for n in range(6):
-        for d in range(6):
+    assert character_finite(0, 3) == character_finite(3, 0) == {0: 1}
+    for n in range(8):
+        for d in range(8):
             char = character_finite(n, d)
+            assert char == box_character(n, d)
             assert char == {-w: m for w, m in char.items()}
 
 
@@ -151,11 +160,14 @@ def test_decompose_finite():
     assert decompose_finite(3, 2) == {6: 1, 2: 1}
     assert decompose_finite(3, 6) == {2: 1, 6: 2, 8: 1, 10: 1, 12: 1, 14: 1, 18: 1}
     assert decompose_finite(2, 2) == {4: 1, 0: 1}
-    for n in range(6):
-        for d in range(6):
+    assert decompose_finite(0, 3) == decompose_finite(3, 0) == {0: 1}
+    for n in range(8):
+        for d in range(8):
             decomp = decompose_finite(n, d)
-            for i in range(n * d + 1):
-                assert decomp.get(i, 0) == sylvester_cayley(n, d, i)
+            assert decomp == peel_character(box_character(n, d))
+            assert list(decomp) == sorted(decomp, reverse=True)
+    with pytest.raises(ValueError):
+        decompose_finite(-1, 2)
 
 
 def test_lowest_weight_space_rho2():
