@@ -158,8 +158,9 @@ def rational_rref(rows: list[list[Fraction]]):
     """Reduced row echelon form over exact rationals with deterministic
     pivoting (first nonzero column, smallest row index).  Returns the
     reduced matrix and the pivot column list.  Each elimination step only
-    touches the columns where the pivot row is nonzero."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    touches the columns where the pivot row is nonzero.  The input rows are
+    copied, not changed; Fraction entries are shared, being immutable."""
+    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []

@@ -4,6 +4,7 @@ their transports, the Kerov operators and Pieri's rule are that operator
 with different constants."""
 
 from fractions import Fraction
+from math import lcm
 from operator import add, sub
 
 from .combinatorics import add_cell, addable_corners, content, remove_cell, removable_corners
@@ -143,9 +144,18 @@ def box_image(lam, constants, row_bound) -> list:
 
 def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     """Linear extension of `box_image` to a partition-keyed vector.  The
-    result has ambient `row_bound`; a cell added with weight 0 drops out."""
+    result has ambient `row_bound`; a cell added with weight 0 drops out.
+    The constants and the coefficients are scaled to integers over their
+    common denominators, so the sums are taken over integers and one
+    Fraction is built per output term."""
+    part, a, b = constants
+    k = lcm(a.denominator, b.denominator)
+    scaled = (part, a.numerator * (k // a.denominator), b.numerator * (k // b.denominator))
+    m = lcm(*(c.denominator for c in v.terms.values()))
     out = {}
     for lam, c in v.terms.items():
-        for mu, w in box_image(lam, constants, row_bound):
+        c = c.numerator * (m // c.denominator)
+        for mu, w in box_image(lam, scaled, row_bound):
             out[mu] = out.get(mu, 0) + c * w
-    return v._closed(row_bound, out)
+    den = k * m
+    return v._closed(row_bound, {mu: Fraction(x, den) for mu, x in out.items() if x})

@@ -87,11 +87,22 @@ def nabla(sign: str, lam, row_bound: int | None = None) -> DiagramVector:
     return DiagramVector(row_bound, out)
 
 
+def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
+    """The diagrams of `v`, whose keys are already checked partitions, as
+    a Schur vector in n variables: only n and the row counts are checked."""
+    if n < 0:
+        raise ValueError(f"need n >= 0 variables, got {n}")
+    for lam in v.terms:
+        if len(lam) > n:
+            raise ValueError(f"partition {lam!r} has more than {n} rows")
+    return SchurVector._closed(n, v.terms)
+
+
 def hat_apply(op: str, v: DiagramVector, n: int) -> DiagramVector:
     """Transported first action on diagrams with at most n rows, that is
     act_rho1 relabelled through phi:
     lower = -(n xi_minus + nabla_minus), cartan = 2|lam| lam, raise = nabla_plus."""
-    return phi_inverse(act_rho1(op, SchurVector(n, v.terms)))
+    return phi_inverse(act_rho1(op, _schur_rows(v, n)))
 
 
 def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
@@ -100,7 +111,7 @@ def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
     lower = n xi_minus + nabla_minus (the lowering direction is opposite to
     the first action), cartan = (2|lam| - n*d) lam, raise adds a box with
     weight d - content (so column d+1 drops out)."""
-    return phi_inverse(act_rho2(op, SchurVector(n, v.terms), d))
+    return phi_inverse(act_rho2(op, _schur_rows(v, n), d))
 
 
 def kerov_apply(

@@ -1,7 +1,8 @@
 """Property tests on random sparse vectors (n <= 5 rows, |lam| <= 8, random
 rational coefficients): the bracket relations of every representation, the
-transported actions against their explicit formulas, and the
-Littlewood-Richardson product against the monomial expansion.  Also the
+transported actions against their explicit formulas, the
+Littlewood-Richardson product against the monomial expansion, and the
+integer box operator against its Fraction-by-Fraction sum.  Also the
 exact row reduction against sympy's on random sparse rational matrices,
 and the dimension identity of one large finite decomposition."""
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from sl2sym.combinatorics import partitions
 from sl2sym.sl2_actions import act_rho1, act_rho2, decompose_finite, rational_rref
 from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
+from sl2sym.vector import box_image, box_operator
 from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
 
 from test_young import transported
@@ -84,6 +86,50 @@ def basis_pairs(draw):
     return n, lam, mu
 
 
+def box_operator_reference(v, constants, row_bound):
+    """The linear extension of box_image, summed Fraction by Fraction."""
+    out = {}
+    for lam, c in v.terms.items():
+        for mu, w in box_image(lam, constants, row_bound):
+            out[mu] = out.get(mu, 0) + c * w
+    return {mu: c for mu, c in out.items() if c}
+
+
+constants_part = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
+)
+coefficients = st.one_of(rationals, st.fractions(min_value=-5, max_value=5, max_denominator=10**6))
+
+
+@given(
+    data=sparse_terms(),
+    bounded=st.booleans(),
+    part=st.sampled_from(["remove", "add", "diagonal"]),
+    a=constants_part,
+    b=constants_part,
+    coeffs=st.lists(coefficients, min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeffs):
+    n, _, terms = data
+    terms = dict(zip(terms, coeffs))
+    row_bound = n if bounded else None
+    v = SchurVector(n, terms) if bounded else DiagramVector(None, terms)
+    out = box_operator(v, (part, a, b), row_bound)
+    assert type(out) is type(v) and out.ambient == row_bound
+    assert out.terms == box_operator_reference(v, (part, a, b), row_bound)
+    assert all(type(c) is Fraction and c for c in out.terms.values())
+
+
+def test_box_operator_empty_and_cancelling():
+    assert box_operator(SchurVector(3), ("add", 0, 1), 3) == SchurVector(3)
+    assert box_operator(DiagramVector(None), ("remove", Fraction(1, 7), 2), None).terms == {}
+    # weights 3/2 + 1/2 content: (2) -> (1) by 2, (1, 1) -> (1) by 1
+    v = SchurVector(2, {(2,): Fraction(1, 4), (1, 1): Fraction(-1, 2)})
+    out = box_operator(v, ("remove", Fraction(3, 2), Fraction(1, 2)), 2)
+    assert out.terms == {} and out.ambient == 2 and not out
+
+
 @given(pair=basis_pairs())
 @settings(max_examples=60, deadline=None)
 def test_product_equals_monomial_oracle(pair):
@@ -109,7 +155,9 @@ def sparse_matrices(draw):
 @given(rows=sparse_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rref_equals_sympy(sympy, rows):
+    copy = [list(row) for row in rows]
     reduced, pivots = rational_rref(rows)
+    assert rows == copy and all(r is not row for r in reduced for row in rows)
     expected, expected_pivots = sympy.Matrix(rows).rref()
     assert pivots == list(expected_pivots)
     assert reduced == [

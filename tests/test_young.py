@@ -64,6 +64,23 @@ def test_tilde_apply_examples():
         tilde_apply("lower", DiagramVector.basis((3,), 2), 2, 2)
 
 
+def test_hat_and_tilde_keep_their_input_checks():
+    tall = dv({(2, 1): 1, (1, 1, 1): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"partition \(1, 1, 1\) has more than 2 rows"):
+        hat_apply("raise", tall, 2)
+    with pytest.raises(ValueError, match=r"partition \(1, 1, 1\) has more than 2 rows"):
+        tilde_apply("cartan", tall, 2, 3)
+    with pytest.raises(ValueError, match=r"partition \(4,\) violates the column bound 3"):
+        tilde_apply("raise", dv({(4,): 1}, bound=2), 2, 3)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        hat_apply("cartan", dv({}), -1)
+    fits = dv({(2, 1): 1, (1,): Fraction(-1, 3)})
+    for op in ("lower", "cartan", "raise"):
+        assert hat_apply(op, fits, 2) == hat_apply(op, dv(fits.terms, bound=2), 2)
+        assert tilde_apply(op, fits, 2, 3) == tilde_apply(op, dv(fits.terms, bound=2), 2, 3)
+    assert hat_apply("raise", fits, 2).row_bound == 2
+
+
 def transported(op, v, n, d=None):
     """The transported first action (d None) or second action as the paper
     writes them: explicit box sums built from xi_minus and nabla, and for
