@@ -18,7 +18,7 @@ from .sl2_actions import (
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
 )
-from .combinatorics import count_lw_solutions
+from .combinatorics import lw_counts
 from .young import KerovParams, hat_apply, kerov_apply, tilde_apply
 
 REP_OPS = {
@@ -150,11 +150,7 @@ def _cmd_decompose(args) -> tuple[str, dict]:
             "multiplicities": [[i, m] for i, m in entries],
         }
         return text, doc
-    if args.n < 2:
-        raise CliError("the graded decomposition needs n >= 2")
-    if args.max_weight < 0:
-        raise CliError(f"--max-weight must be >= 0, got {args.max_weight}")
-    entries = [(i, count_lw_solutions(args.n, i)) for i in range(args.max_weight + 1)]
+    entries = list(enumerate(lw_counts(args.n, args.max_weight)))
     text = "\n".join(f"c[{i}] = {m}" for i, m in entries)
     doc = {
         "command": "decompose", "n": args.n, "max_weight": args.max_weight,

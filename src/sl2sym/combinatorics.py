@@ -3,6 +3,8 @@ decompositions: rectangle-bounded partition counts, Gaussian binomial
 coefficients, and the Cayley-Sylvester multiplicity formula."""
 
 from functools import cache, lru_cache
+from itertools import accumulate
+from operator import sub
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -103,48 +105,31 @@ def count_partitions_in_rectangle(max_parts: int, max_part: int, size: int) -> i
     )
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (coefficient lists, ascending)."""
-    num = list(num)
-    lead = den[-1]
-    dd = len(den) - 1
-    qdeg = len(num) - len(den)
-    quot = [0] * (qdeg + 1)
-    for k in range(qdeg, -1, -1):
-        c, r = divmod(num[k + dd], lead)
-        if r:
-            raise ArithmeticError("polynomial division is not exact")
-        quot[k] = c
-        if c:
-            for idx, d in enumerate(den):
-                num[k + idx] -= c * d
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
+def _divide_by_one_minus(coeffs: list[int], step: int) -> None:
+    """Divide the power series `coeffs` by 1 - T^step in place, truncated
+    to its length: one prefix sum along each residue class mod step."""
+    for r in range(min(step, len(coeffs))):
+        coeffs[r::step] = accumulate(coeffs[r::step])
 
 
 @lru_cache(maxsize=1024)
 def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
     """Coefficients, ascending in T, of the Gaussian binomial [a choose k]
     = prod_{j=1..k} (1 - T^(a-k+j)) / (1 - T^j), a polynomial of degree
-    k*(a-k).  The division is exact or raises ArithmeticError."""
+    k*(a-k).  Built one factor at a time: after step j the list holds
+    [a-k+j choose j].  Each division is exact or raises ArithmeticError."""
     if k < 0 or a < k:
         raise ValueError(f"need 0 <= k <= a, got a={a}, k={k}")
-    num = [1]
-    den = [1]
+    coeffs = [1]
     for j in range(1, k + 1):
-        num = _poly_mul(num, [1] + [0] * (a - k + j - 1) + [-1])
-        den = _poly_mul(den, [1] + [0] * (j - 1) + [-1])
-    return tuple(_poly_divexact(num, den))
+        m = a - k + j
+        coeffs += [0] * m
+        coeffs[m:] = map(sub, coeffs[m:], coeffs[:-m])
+        _divide_by_one_minus(coeffs, j)
+        if any(coeffs[-j:]):
+            raise ArithmeticError("polynomial division left a remainder")
+        del coeffs[-j:]
+    return tuple(coeffs)
 
 
 def gamma(a: int, n: int, i: int) -> int:
@@ -175,19 +160,25 @@ def sylvester_cayley(n: int, d: int, i: int) -> int:
     return gamma(d + n, n, half) - gamma(d + n, n, half - 1)
 
 
-def count_lw_solutions(n: int, i: int) -> int:
-    """Number of tuples (a_1, ..., a_{n-1}) of naturals with
-    2*a_1 + 3*a_2 + ... + n*a_{n-1} = i."""
+def lw_counts(n: int, max_weight: int) -> list[int]:
+    """[c_0, ..., c_max_weight] in one pass, where c_i is the number of
+    tuples (a_1, ..., a_{n-1}) of naturals with
+    2*a_1 + 3*a_2 + ... + n*a_{n-1} = i: the coefficients of
+    prod_{part=2..n} 1 / (1 - T^part)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if i < 0:
-        return 0
-    ways = [0] * (i + 1)
-    ways[0] = 1
+    if max_weight < 0:
+        raise ValueError(f"need max_weight >= 0, got {max_weight}")
+    counts = [1] + [0] * max_weight
     for part in range(2, n + 1):
-        for s in range(part, i + 1):
-            ways[s] += ways[s - part]
-    return ways[i]
+        _divide_by_one_minus(counts, part)
+    return counts
+
+
+def count_lw_solutions(n: int, i: int) -> int:
+    """c_i of `lw_counts`, and 0 for negative i."""
+    counts = lw_counts(n, max(i, 0))
+    return counts[i] if i >= 0 else 0
 
 
 def alpha_degree(alpha) -> int:

@@ -90,14 +90,6 @@ class Poly(SparseVector):
         return max((sum(e) for e in self.terms), default=0)
 
 
-def partial(f: Poly, k: int) -> Poly:
-    return f.partial(k)
-
-
-def is_symmetric(f: Poly) -> bool:
-    return f.is_symmetric()
-
-
 def _monomial_operator(op: str, f: Poly, constants: dict) -> Poly:
     """One of lower/cartan/raise, given on a monomial x^e by `constants[op]`
     = (a, b): lower and raise sum over k the monomial with e_k moved down or

@@ -9,8 +9,8 @@ from typing import NamedTuple
 from .combinatorics import (
     alpha_degree,
     alpha_tuples,
-    count_lw_solutions,
     gaussian_binomial,
+    lw_counts,
     partitions,
 )
 from .symfunc import SchurVector, elementary_schur, multiply, power_sum_schur, z_monomial_schur
@@ -117,14 +117,7 @@ def decompose_lambda_n(n: int, max_weight_half: int) -> dict[int, int]:
     """Multiplicities i -> c_i of the infinite-dimensional lowest-weight
     modules of weight 2i in the graded decomposition, for i <= max_weight_half
     (zero entries omitted)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    out = {}
-    for i in range(max_weight_half + 1):
-        c = count_lw_solutions(n, i)
-        if c:
-            out[i] = c
-    return out
+    return {i: c for i, c in enumerate(lw_counts(n, max_weight_half)) if c}
 
 
 def _box_binomial(n: int, d: int) -> tuple[int, ...]:

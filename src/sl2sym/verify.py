@@ -4,9 +4,10 @@ differential operators, the kernels and decompositions, the combinatorial
 identities, and the diagram transport, all at desk scale."""
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 
 from .combinatorics import (
@@ -14,9 +15,9 @@ from .combinatorics import (
     addable_corners,
     alpha_tuples,
     content,
-    count_lw_solutions,
     count_partitions_in_rectangle,
     gamma,
+    lw_counts,
     partitions,
     sylvester_cayley,
 )
@@ -65,7 +66,7 @@ from .young import (
     zeta,
 )
 
-SUITE_NAMES = ("commutators", "schur-action", "kernel", "identities", "tables", "kerov")
+OPS = ("lower", "cartan", "raise")
 
 # multiplicity tables for the three-variable box decompositions, d = 2..8
 THREE_VAR_TABLES = {
@@ -90,20 +91,23 @@ class Check:
     note: bool = False
 
 
-def _exponents(n, max_deg):
-    if n == 0:
-        yield ()
-        return
-    for e in range(max_deg + 1):
-        for rest in _exponents(n - 1, max_deg - e):
-            yield (e,) + rest
+def _monomials(n, max_deg):
+    """The monomials of degree at most max_deg in n variables."""
+    return (Poly.monomial(n, e) for e in product(range(max_deg + 1), repeat=n) if sum(e) <= max_deg)
 
 
 def _partitions_up_to(max_size, max_rows, max_part=None):
-    out = []
-    for m in range(max_size + 1):
-        out.extend(partitions(m, max_rows, max_part))
-    return out
+    return [lam for m in range(max_size + 1) for lam in partitions(m, max_rows, max_part)]
+
+
+def _tally(suite, name, unit, failures):
+    """One counted check: `failures` yields the failure count of each case
+    (a bool counts as 0 or 1)."""
+    count = bad = 0
+    for failed in failures:
+        count += 1
+        bad += failed
+    return Check(suite, name, bad == 0, f"{count} {unit}, {bad} failures")
 
 
 # ---------------------------------------------------------------- commutators
@@ -120,197 +124,138 @@ def _brackets_ok(apply_op, f):
     return cl == -2 * apply_op("lower", f)
 
 
+def _power_sum_samples(n):
+    """p_1..p_8 and the products p_a p_b of degree at most 8."""
+    samples = [power_sum_poly(m, n) for m in range(1, 9)]
+    return samples + [
+        power_sum_poly(a, n) * power_sum_poly(b, n) for a in range(1, 8) for b in range(a, 9 - a)
+    ]
+
+
 def suite_commutators():
-    checks = []
-
-    count = bad = 0
-    for n in range(1, 5):
-        for exps in _exponents(n, 8):
-            f = Poly.monomial(n, exps)
-            count += 1
-            if not _brackets_ok(lambda op, g: rho1_apply(op, g), f):
-                bad += 1
-    checks.append(Check(
-        "commutators", "first action on monomials (deg<=8, n<=4)",
-        bad == 0, f"{count} monomials, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        monos = [Poly.monomial(n, exps) for exps in _exponents(n, 8)]
-        for d in range(7):
-            for f in monos:
-                count += 1
-                if not _brackets_ok(lambda op, g: rho2_apply(op, g, d), f):
-                    bad += 1
-    checks.append(Check(
-        "commutators", "second action on monomials (deg<=8, n<=4, d<=6)",
-        bad == 0, f"{count} monomial/parameter pairs, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        for lam in _partitions_up_to(6, n):
-            v = SchurVector.basis(n, lam)
-            count += 1
-            if not _brackets_ok(lambda op, u: act_rho1(op, u), v):
-                bad += 1
-    checks.append(Check(
-        "commutators", "first action on Schur basis (|lam|<=6, n<=4)",
-        bad == 0, f"{count} basis elements, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        for d in range(7):
-            for lam in _partitions_up_to(6, n, d):
-                v = SchurVector.basis(n, lam)
-                count += 1
-                if not _brackets_ok(lambda op, u: act_rho2(op, u, d), v):
-                    bad += 1
-    checks.append(Check(
-        "commutators", "second action on Schur basis (|lam|<=6, n<=4, d<=6)",
-        bad == 0, f"{count} basis/parameter pairs, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        samples = [power_sum_poly(m, n) for m in range(1, 9)]
-        samples += [
-            power_sum_poly(a, n) * power_sum_poly(b, n)
-            for a in range(1, 8)
-            for b in range(a, 9 - a)
-        ]
-        for f in samples:
-            for op in ("lower", "cartan", "raise"):
-                count += 1
-                if not rho1_apply(op, f).is_symmetric():
-                    bad += 1
-    checks.append(Check(
-        "commutators", "first action preserves symmetry (power-sum products, deg<=8, n<=4)",
-        bad == 0, f"{count} images checked, {bad} failures"))
-
-    return checks
+    return [
+        _tally("commutators", "first action on monomials (deg<=8, n<=4)", "monomials", (
+            not _brackets_ok(rho1_apply, f) for n in range(1, 5) for f in _monomials(n, 8)
+        )),
+        _tally("commutators", "second action on monomials (deg<=8, n<=4, d<=6)",
+               "monomial/parameter pairs", (
+                   not _brackets_ok(lambda op, g: rho2_apply(op, g, d), f)
+                   for n in range(1, 5) for d in range(7) for f in _monomials(n, 8)
+               )),
+        _tally("commutators", "first action on Schur basis (|lam|<=6, n<=4)", "basis elements", (
+            not _brackets_ok(act_rho1, SchurVector.basis(n, lam))
+            for n in range(1, 5) for lam in _partitions_up_to(6, n)
+        )),
+        _tally("commutators", "second action on Schur basis (|lam|<=6, n<=4, d<=6)",
+               "basis/parameter pairs", (
+                   not _brackets_ok(lambda op, u: act_rho2(op, u, d), SchurVector.basis(n, lam))
+                   for n in range(1, 5) for d in range(7) for lam in _partitions_up_to(6, n, d)
+               )),
+        _tally("commutators",
+               "first action preserves symmetry (power-sum products, deg<=8, n<=4)",
+               "images checked", (
+                   not rho1_apply(op, f).is_symmetric()
+                   for n in range(1, 5) for f in _power_sum_samples(n) for op in OPS
+               )),
+    ]
 
 
 # --------------------------------------------------------------- schur-action
 
 
+def _families(n):
+    """(family, index, Schur vector) for e_1..e_n, h_1..h_6 and p_1..p_6."""
+    yield from (("e", i, elementary_schur(i, n)) for i in range(1, n + 1))
+    yield from (("h", i, SchurVector.basis(n, (i,))) for i in range(1, 7))
+    yield from (("p", i, power_sum_schur(i, n)) for i in range(1, 7))
+
+
 def suite_schur_action():
-    checks = []
-
-    count = bad = 0
-    for n in range(1, 5):
-        for lam in _partitions_up_to(6, n):
-            fp = schur_to_poly(lam, n)
-            v = SchurVector.basis(n, lam)
-            for op in ("lower", "cartan", "raise"):
-                count += 1
-                if act_rho1(op, v) != poly_to_schur(rho1_apply(op, fp)):
-                    bad += 1
-    checks.append(Check(
-        "schur-action", "first action matches differential operators (|lam|<=6, n<=4)",
-        bad == 0, f"{count} comparisons, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        for d in range(7):
-            for lam in _partitions_up_to(6, n, d):
-                fp = schur_to_poly(lam, n)
-                v = SchurVector.basis(n, lam)
-                for op in ("lower", "cartan", "raise"):
-                    count += 1
-                    if act_rho2(op, v, d) != poly_to_schur(rho2_apply(op, fp, d)):
-                        bad += 1
-    checks.append(Check(
-        "schur-action", "second action matches differential operators (|lam|<=6, n<=4, d<=6)",
-        bad == 0, f"{count} comparisons, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        cases = [("e", i) for i in range(1, n + 1)]
-        cases += [("h", i) for i in range(1, 7)]
-        cases += [("p", i) for i in range(1, 7)]
-        for family, i in cases:
-            if family == "e":
-                vec = elementary_schur(i, n)
-            elif family == "h":
-                vec = SchurVector.basis(n, (i,))
-            else:
-                vec = power_sum_schur(i, n)
-            for op in ("lower", "cartan", "raise"):
-                count += 1
-                if act_rho1_named(op, family, i, n) != act_rho1(op, vec):
-                    bad += 1
-    checks.append(Check(
-        "schur-action", "closed-form family images match the Schur action",
-        bad == 0, f"{count} comparisons, {bad} failures"))
-
-    checks.append(Check(
-        "schur-action", "power-sum lowering sign",
-        True,
-        "computed: lowering sends p_i to -i*p_(i-1); paper: +i*p_(i-1)",
-        note=True))
-
-    return checks
+    return [
+        _tally("schur-action", "first action matches differential operators (|lam|<=6, n<=4)",
+               "comparisons", (
+                   act_rho1(op, SchurVector.basis(n, lam))
+                   != poly_to_schur(rho1_apply(op, schur_to_poly(lam, n)))
+                   for n in range(1, 5) for lam in _partitions_up_to(6, n) for op in OPS
+               )),
+        _tally("schur-action",
+               "second action matches differential operators (|lam|<=6, n<=4, d<=6)",
+               "comparisons", (
+                   act_rho2(op, SchurVector.basis(n, lam), d)
+                   != poly_to_schur(rho2_apply(op, schur_to_poly(lam, n), d))
+                   for n in range(1, 5) for d in range(7) for lam in _partitions_up_to(6, n, d)
+                   for op in OPS
+               )),
+        _tally("schur-action", "closed-form family images match the Schur action", "comparisons", (
+            act_rho1_named(op, family, i, n) != act_rho1(op, vec)
+            for n in range(1, 5) for family, i, vec in _families(n) for op in OPS
+        )),
+        Check("schur-action", "power-sum lowering sign", True,
+              "computed: lowering sends p_i to -i*p_(i-1); paper: +i*p_(i-1)", note=True),
+    ]
 
 
 # --------------------------------------------------------------------- kernel
 
 
+def _lowest_weight_failures(apply_op, v, weight):
+    """Whether lowering misses annihilating v, plus whether v misses being
+    a cartan eigenvector of `weight`."""
+    return bool(apply_op("lower", v)) + (apply_op("cartan", v) != weight * v)
+
+
+def _raised_kernel_failures(alpha, n):
+    """Per raising step k = 1..4 of the kernel monomial z^alpha, the
+    failures of the standard-module lower and cartan relations."""
+    w = weight_of_alpha(alpha)
+    v = z_monomial_schur(alpha, n)
+    for k in range(1, 5):
+        v_prev, v = v, act_rho1("raise", v)
+        yield ((act_rho1("lower", v) != Fraction(-k * (w + k - 1)) * v_prev)
+               + (act_rho1("cartan", v) != Fraction(w + 2 * k) * v))
+
+
+def _raising_not_injective(n, m):
+    domain = sorted(partitions(m, n), reverse=True)
+    codomain = sorted(partitions(m + 1, n), reverse=True)
+    _, pivots = rational_rref(graded_matrix(rho1_constants(n)["raise"], domain, codomain, n))
+    return len(pivots) != len(domain)
+
+
 def suite_kernel():
-    checks = []
+    checks = [
+        _tally("kernel", "generators are annihilated with cartan eigenvalue 2i (n<=6)",
+               "generators", (
+                   _lowest_weight_failures(rho1_apply, z_generator_poly(i, n), 2 * i)
+                   for n in range(2, 7) for i in range(2, n + 1)
+               )),
+        _tally("kernel", "leading coefficient identity n*C_i = (n-1)^i + (-1)^i (n-1) (n<=8)",
+               "coefficients", (
+                   n * z_generator_poly(i, n).terms.get((i,) + (0,) * (n - 1), 0)
+                   != (n - 1) ** i + (-1) ** i * (n - 1)
+                   for n in range(2, 9) for i in range(2, n + 1)
+               )),
+        _tally("kernel",
+               "slice homomorphism reproduces generators: sigma(p_i) = z_i/n^(i-1) (i<=n<=5)",
+               "comparisons", (
+                   sigma_slice(power_sum_poly(i, n))
+                   != z_generator_poly(i, n) * Fraction(1, n ** (i - 1))
+                   for n in range(2, 6) for i in range(2, n + 1)
+               )),
+        _tally("kernel",
+               "graded dimensions: partial sums count partitions with <=n parts (m<=12, n<=5)",
+               "grades", (
+                   sum(lw_counts(n, m)) != count_partitions_in_rectangle(n, m, m)
+                   for n in range(2, 6) for m in range(13)
+               )),
+    ]
 
-    count = bad = 0
-    for n in range(2, 7):
-        for i in range(2, n + 1):
-            z = z_generator_poly(i, n)
-            count += 1
-            if rho1_apply("lower", z):
-                bad += 1
-            if rho1_apply("cartan", z) != z * (2 * i):
-                bad += 1
-    checks.append(Check(
-        "kernel", "generators are annihilated with cartan eigenvalue 2i (n<=6)",
-        bad == 0, f"{count} generators, {bad} failures"))
-
-    count = bad = 0
-    for n in range(2, 9):
-        for i in range(2, n + 1):
-            z = z_generator_poly(i, n)
-            lead = [0] * n
-            lead[0] = i
-            c = z.terms.get(tuple(lead), Fraction(0))
-            count += 1
-            if n * c != (n - 1) ** i + (-1) ** i * (n - 1):
-                bad += 1
-    checks.append(Check(
-        "kernel", "leading coefficient identity n*C_i = (n-1)^i + (-1)^i (n-1) (n<=8)",
-        bad == 0, f"{count} coefficients, {bad} failures"))
-
-    count = bad = 0
-    for n in range(2, 6):
-        for i in range(2, n + 1):
-            count += 1
-            if sigma_slice(power_sum_poly(i, n)) != z_generator_poly(i, n) * Fraction(1, n ** (i - 1)):
-                bad += 1
-    checks.append(Check(
-        "kernel", "slice homomorphism reproduces generators: sigma(p_i) = z_i/n^(i-1) (i<=n<=5)",
-        bad == 0, f"{count} comparisons, {bad} failures"))
-
-    count = bad = 0
-    for n in range(2, 6):
-        for m in range(13):
-            total = sum(count_lw_solutions(n, j) for j in range(m + 1))
-            count += 1
-            if total != count_partitions_in_rectangle(n, m, m):
-                bad += 1
-    checks.append(Check(
-        "kernel", "graded dimensions: partial sums count partitions with <=n parts (m<=12, n<=5)",
-        bad == 0, f"{count} grades, {bad} failures"))
-
-    computed = tuple(count_lw_solutions(3, i) for i in range(11))
+    computed = tuple(lw_counts(3, 10))
     checks.append(Check(
         "kernel", "three-variable multiplicity sequence c_0..c_10",
         computed == THREE_VAR_MULTIPLICITIES, f"computed {computed}"))
 
-    seq = [count_lw_solutions(3, i) for i in range(31)]
+    seq = lw_counts(3, 30)
     rec_ok = seq[:5] == [1, 0, 1, 1, 1] and all(
         seq[i] == seq[i - 2] + seq[i - 3] - seq[i - 5] for i in range(5, 31)
     )
@@ -318,71 +263,40 @@ def suite_kernel():
         "kernel", "three-variable recurrence c_i = c_(i-2)+c_(i-3)-c_(i-5) (i<=30)",
         rec_ok, "initial values 1,0,1,1,1"))
 
+    # The per-degree count mismatches belong to no single vector.
     count = bad = 0
     for n in range(2, 5):
         basis = lowest_weight_basis_rho1(n, 6)
-        per_degree = {}
-        for vec, weight in basis:
-            if act_rho1("lower", vec):
-                bad += 1
-            if act_rho1("cartan", vec) != Fraction(weight) * vec:
-                bad += 1
-            deg = weight // 2
-            per_degree[deg] = per_degree.get(deg, 0) + 1
-            count += 1
-        for m in range(7):
-            if per_degree.get(m, 0) != count_lw_solutions(n, m):
-                bad += 1
+        count += len(basis)
+        bad += sum(_lowest_weight_failures(act_rho1, vec, weight) for vec, weight in basis)
+        per_degree = Counter(weight // 2 for _, weight in basis)
+        bad += sum(per_degree[m] != c for m, c in enumerate(lw_counts(n, 6)))
     checks.append(Check(
         "kernel", "kernel monomials annihilated, weights and counts agree (deg<=6, n<=4)",
         bad == 0, f"{count} vectors, {bad} failures"))
 
     lw = lowest_weight_space_rho2(3, 6)
     weights = sorted(v.weight for v in lw)
-    ann_ok = all(not act_rho2("lower", v.vector, 6) for v in lw)
-    eig_ok = all(
-        act_rho2("cartan", v.vector, 6) == Fraction(v.weight) * v.vector for v in lw
-    )
     checks.append(Check(
         "kernel", "three-variable box d=6: kernel has 8 vectors with the stated weights",
-        len(lw) == 8
-        and weights == [-18, -14, -12, -10, -8, -6, -6, -2]
-        and ann_ok and eig_ok,
+        weights == [-18, -14, -12, -10, -8, -6, -6, -2] and not any(
+            _lowest_weight_failures(lambda op, u: act_rho2(op, u, 6), v.vector, v.weight)
+            for v in lw
+        ),
         f"weights {weights}"))
 
-    count = bad = 0
-    for n in range(2, 5):
-        for alpha in alpha_tuples(n, 5):
-            w = weight_of_alpha(alpha)
-            v = z_monomial_schur(alpha, n)
-            for k in range(1, 5):
-                v_prev = v
-                v = act_rho1("raise", v_prev)
-                count += 1
-                if act_rho1("lower", v) != Fraction(-k * (w + k - 1)) * v_prev:
-                    bad += 1
-                if act_rho1("cartan", v) != Fraction(w + 2 * k) * v:
-                    bad += 1
-    checks.append(Check(
+    checks.append(_tally(
         "kernel", "standard-module relations on raised kernel vectors (k<=4, deg<=5, n<=4)",
-        bad == 0, f"{count} relations, {bad} failures"))
+        "relations", (
+            failures for n in range(2, 5) for alpha in alpha_tuples(n, 5)
+            for failures in _raised_kernel_failures(alpha, n)
+        )))
+    checks.append(_tally(
+        "kernel", "raising is injective off constants (1<=m<=6, n<=4)", "graded components", (
+            _raising_not_injective(n, m) for n in range(1, 5) for m in range(1, 7)
+        )))
 
-    count = bad = 0
-    for n in range(1, 5):
-        raising = rho1_constants(n)["raise"]
-        for m in range(1, 7):
-            domain = sorted(partitions(m, n), reverse=True)
-            codomain = sorted(partitions(m + 1, n), reverse=True)
-            _, pivots = rational_rref(graded_matrix(raising, domain, codomain, n))
-            count += 1
-            if len(pivots) != len(domain):
-                bad += 1
-    checks.append(Check(
-        "kernel", "raising is injective off constants (1<=m<=6, n<=4)",
-        bad == 0, f"{count} graded components, {bad} failures"))
-
-    two_var = lowest_weight_basis_rho1(2, 12)
-    degrees = [v.weight // 2 for v in two_var]
+    degrees = [v.weight // 2 for v in lowest_weight_basis_rho1(2, 12)]
     checks.append(Check(
         "kernel", "two-variable kernel degrees",
         True,
@@ -396,42 +310,33 @@ def suite_kernel():
 # ----------------------------------------------------------------- identities
 
 
-def suite_identities():
-    checks = []
+def _odd_power_sum_fails(m):
+    p1 = power_sum_poly(1, 2)
+    lhs = Poly.zero(2)
+    for k in range(2 * m):
+        coef = Fraction(-1, 2) ** (k + 1) * comb(2 * m + 1, k)
+        lhs = lhs + power_sum_poly(2 * m + 1 - k, 2) * (p1 ** k) * coef
+    return lhs != (p1 ** (2 * m + 1)) * Fraction(m, 2 ** (2 * m))
+
+
+def _even_power_sum_fails(m):
     x = Poly.variable(2, 1)
     y = Poly.variable(2, 2)
+    p1 = power_sum_poly(1, 2)
+    lhs = Poly.zero(2)
+    for k in range(2 * m - 1):
+        coef = (-1) ** k * 2 ** (2 * m - k - 1) * comb(2 * m, k)
+        lhs = lhs + power_sum_poly(2 * m - k, 2) * (p1 ** k) * coef
+    return lhs != (p1 ** (2 * m)) * (2 * m - 1) + (x - y) ** (2 * m)
 
-    count = bad = 0
-    for m in range(1, 9):
-        p1 = power_sum_poly(1, 2)
-        lhs = Poly.zero(2)
-        for k in range(2 * m):
-            coef = Fraction(-1, 2) ** (k + 1) * comb(2 * m + 1, k)
-            lhs = lhs + power_sum_poly(2 * m + 1 - k, 2) * (p1 ** k) * coef
-        rhs = (p1 ** (2 * m + 1)) * Fraction(m, 2 ** (2 * m))
-        count += 1
-        if lhs != rhs:
-            bad += 1
-    checks.append(Check(
-        "identities", "odd power-sum identity (m=1..8)",
-        bad == 0, f"{count} cases, {bad} failures"))
 
-    count = bad = 0
-    for m in range(1, 9):
-        p1 = power_sum_poly(1, 2)
-        lhs = Poly.zero(2)
-        for k in range(2 * m - 1):
-            coef = (-1) ** k * 2 ** (2 * m - k - 1) * comb(2 * m, k)
-            lhs = lhs + power_sum_poly(2 * m - k, 2) * (p1 ** k) * coef
-        rhs = (p1 ** (2 * m)) * (2 * m - 1) + (x - y) ** (2 * m)
-        count += 1
-        if lhs != rhs:
-            bad += 1
-    checks.append(Check(
-        "identities", "even power-sum identity (m=1..8)",
-        bad == 0, f"{count} cases, {bad} failures"))
-
-    return checks
+def suite_identities():
+    return [
+        _tally("identities", "odd power-sum identity (m=1..8)", "cases",
+               map(_odd_power_sum_fails, range(1, 9))),
+        _tally("identities", "even power-sum identity (m=1..8)", "cases",
+               map(_even_power_sum_fails, range(1, 9))),
+    ]
 
 
 # --------------------------------------------------------------------- tables
@@ -471,106 +376,56 @@ def peel_character(char):
     return decomp
 
 
+def _peeling_mismatches(n, d):
+    decomp = decompose_finite(n, d)
+    peeled = peel_character(_symmetric_power_character(n, d))
+    return sum(decomp.get(i, 0) != peeled.get(i, 0) for i in range(n * d + 1))
+
+
+def _vd_realization_failures(d):
+    w = vd_realization(d)
+    return bool(act_rho2("raise", w[d], 1)) + sum(
+        (act_rho2("cartan", w[i], 1) != Fraction(2 * i - d) * w[i])
+        + (i > 0 and act_rho2("lower", w[i], 1) != Fraction(i) * w[i - 1])
+        + (i < d and act_rho2("raise", w[i], 1) != Fraction(d - i) * w[i + 1])
+        for i in range(d + 1)
+    )
+
+
 def suite_tables():
-    checks = []
-
-    count = bad = 0
-    for n in range(1, 7):
-        for a in range(n, 13):
-            top = n * (a - n)
-            for i in range(top + 1):
-                count += 1
-                if gamma(a, n, i) != count_partitions_in_rectangle(n, a - n, i):
-                    bad += 1
-                if gamma(a, n, i) != gamma(a, n, top - i):
-                    bad += 1
-    checks.append(Check(
-        "tables", "Gaussian binomial equals rectangle count and is palindromic (a<=12, n<=6)",
-        bad == 0, f"{count} coefficients, {bad} failures"))
-
-    count = bad = 0
-    for n in range(6):
-        for d in range(6):
-            count += 1
-            if character_finite(n, d) != _symmetric_power_character(n, d):
-                bad += 1
-    checks.append(Check(
-        "tables", "box character equals symmetric-power character (n,d<=5)",
-        bad == 0, f"{count} characters, {bad} failures"))
-
-    count = bad = 0
-    for n in range(6):
-        for d in range(6):
-            decomp = decompose_finite(n, d)
-            peeled = peel_character(_symmetric_power_character(n, d))
-            count += 1
-            for i in range(n * d + 1):
-                if decomp.get(i, 0) != peeled.get(i, 0):
-                    bad += 1
-    checks.append(Check(
-        "tables", "peeled decomposition equals the difference formula (n,d<=5)",
-        bad == 0, f"{count} decompositions, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 7):
-        for d in range(7):
-            total = sum((i + 1) * sylvester_cayley(n, d, i) for i in range(n * d + 1))
-            count += 1
-            if total != comb(n + d, n):
-                bad += 1
-    checks.append(Check(
-        "tables", "dimension identity sum c*(i+1) = C(n+d,n) (n,d<=6)",
-        bad == 0, f"{count} pairs, {bad} failures"))
-
-    bad = sum(1 for d, tab in THREE_VAR_TABLES.items() if decompose_finite(3, d) != tab)
-    checks.append(Check(
-        "tables", "three-variable decomposition tables d=2..8",
-        bad == 0, f"{len(THREE_VAR_TABLES)} tables, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        for d in range(6):
-            lw = lowest_weight_space_rho2(n, d)
-            weights = {}
-            for v in lw:
-                weights[-v.weight] = weights.get(-v.weight, 0) + 1
-            count += 1
-            expected = {
-                i: sylvester_cayley(n, d, i)
-                for i in range(n * d + 1)
-                if sylvester_cayley(n, d, i)
-            }
-            if weights != expected:
-                bad += 1
-    checks.append(Check(
-        "tables", "kernel dimensions per weight equal multiplicities (n<=4, d<=5)",
-        bad == 0, f"{count} boxes, {bad} failures"))
-
-    count = bad = 0
-    for d in range(1, 9):
-        w = vd_realization(d)
-        count += 1
-        if act_rho2("raise", w[d], 1):
-            bad += 1
-        for i in range(d + 1):
-            if act_rho2("cartan", w[i], 1) != Fraction(2 * i - d) * w[i]:
-                bad += 1
-            if i and act_rho2("lower", w[i], 1) != Fraction(i) * w[i - 1]:
-                bad += 1
-            if i < d and act_rho2("raise", w[i], 1) != Fraction(d - i) * w[i + 1]:
-                bad += 1
-    checks.append(Check(
-        "tables", "scaled elementary polynomials realize the standard module (d<=8)",
-        bad == 0, f"{count} realizations, {bad} failures"))
-
     computed = decompose_finite(2, 2)
-    checks.append(Check(
-        "tables", "two-variable box d=2 decomposition",
-        True,
-        f"computed: V0 + V4 (multiplicities {computed}); paper: V2 + V4",
-        note=True))
-
-    return checks
+    return [
+        _tally("tables",
+               "Gaussian binomial equals rectangle count and is palindromic (a<=12, n<=6)",
+               "coefficients", (
+                   (gamma(a, n, i) != count_partitions_in_rectangle(n, a - n, i))
+                   + (gamma(a, n, i) != gamma(a, n, n * (a - n) - i))
+                   for n in range(1, 7) for a in range(n, 13) for i in range(n * (a - n) + 1)
+               )),
+        _tally("tables", "box character equals symmetric-power character (n,d<=5)", "characters", (
+            character_finite(n, d) != _symmetric_power_character(n, d)
+            for n in range(6) for d in range(6)
+        )),
+        _tally("tables", "peeled decomposition equals the difference formula (n,d<=5)",
+               "decompositions", (_peeling_mismatches(n, d) for n in range(6) for d in range(6))),
+        _tally("tables", "dimension identity sum c*(i+1) = C(n+d,n) (n,d<=6)", "pairs", (
+            sum((i + 1) * sylvester_cayley(n, d, i) for i in range(n * d + 1)) != comb(n + d, n)
+            for n in range(1, 7) for d in range(7)
+        )),
+        _tally("tables", "three-variable decomposition tables d=2..8", "tables", (
+            decompose_finite(3, d) != table for d, table in THREE_VAR_TABLES.items()
+        )),
+        _tally("tables", "kernel dimensions per weight equal multiplicities (n<=4, d<=5)",
+               "boxes", (
+                   Counter(-v.weight for v in lowest_weight_space_rho2(n, d))
+                   != Counter({i: sylvester_cayley(n, d, i) for i in range(n * d + 1)})
+                   for n in range(1, 5) for d in range(6)
+               )),
+        _tally("tables", "scaled elementary polynomials realize the standard module (d<=8)",
+               "realizations", map(_vd_realization_failures, range(1, 9))),
+        Check("tables", "two-variable box d=2 decomposition", True,
+              f"computed: V0 + V4 (multiplicities {computed}); paper: V2 + V4", note=True),
+    ]
 
 
 # ---------------------------------------------------------------------- kerov
@@ -594,50 +449,6 @@ def _transported(op, lam, n, d=None):
 
 
 def suite_kerov():
-    checks = []
-
-    count = bad = 0
-    for n in range(1, 5):
-        for lam in _partitions_up_to(6, n):
-            dv = DiagramVector.basis(lam, row_bound=n)
-            for op in ("lower", "cartan", "raise"):
-                count += 1
-                if hat_apply(op, dv, n).terms != _transported(op, lam, n):
-                    bad += 1
-    checks.append(Check(
-        "kerov", "transport intertwines the first action (|lam|<=6, n<=4)",
-        bad == 0, f"{count} comparisons, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        for d in range(7):
-            for lam in _partitions_up_to(6, n, d):
-                dv = DiagramVector.basis(lam, row_bound=n)
-                for op in ("lower", "cartan", "raise"):
-                    count += 1
-                    if tilde_apply(op, dv, n, d).terms != _transported(op, lam, n, d):
-                        bad += 1
-    checks.append(Check(
-        "kerov", "transport intertwines the second action (|lam|<=6, n<=4, d<=6)",
-        bad == 0, f"{count} comparisons, {bad} failures"))
-
-    count = bad = 0
-    for n in range(1, 5):
-        for k in range(1, 7):
-            count += 1
-            if phi(pi_k(k, n)) != poly_to_schur(power_sum_poly(k, n)):
-                bad += 1
-    for n in range(2, 5):
-        for i in range(2, n + 1):
-            count += 1
-            if phi(zeta(i, n)) != z_generator_schur(i, n):
-                bad += 1
-            if z_generator_schur(i, n) != poly_to_schur(z_generator_poly(i, n)):
-                bad += 1
-    checks.append(Check(
-        "kerov", "hook vectors map to power sums, preimages to kernel generators (k<=6, n<=4)",
-        bad == 0, f"{count} comparisons, {bad} failures"))
-
     rng = random.Random(20250809)
     pairs = [
         KerovParams(
@@ -648,42 +459,48 @@ def suite_kerov():
     ]
     # U, -D, L satisfy the relations of raise, lower, cartan
     as_sl2 = {"raise": ("U", 1), "lower": ("D", -1), "cartan": ("L", 1)}
-    count = bad = 0
-    diagrams = _partitions_up_to(7, 7)
-    for params in pairs:
-        apply_op = lambda op, v, p=params: as_sl2[op][1] * kerov_apply(as_sl2[op][0], v, p)
-        for lam in diagrams:
-            count += 1
-            if not _brackets_ok(apply_op, DiagramVector.basis(lam)):
-                bad += 1
-    checks.append(Check(
-        "kerov", "Kerov bracket relations (|lam|<=7, 5 rational parameter pairs)",
-        bad == 0, f"{count} diagrams x 3 relations per pair, {bad} failures"))
-
-    params = KerovParams(Fraction(1, 2), Fraction(-3, 7))
-    count = bad = 0
-    for n in range(1, 5):
-        column = (1,) * n
-        image = kerov_apply("U", DiagramVector.basis(column), params)
-        count += 1
-        if all(len(lam) <= n for lam in image.terms):
-            bad += 1
-    checks.append(Check(
-        "kerov", "box adding escapes every row bound (witness (1^n), n<=4)",
-        bad == 0, f"{count} witnesses, {bad} failures"))
-
-    count = bad = 0
-    for n in range(2, 5):
-        for alpha in alpha_tuples(n, 5):
-            vec = phi_inverse(z_monomial_schur(alpha, n))
-            count += 1
-            if hat_apply("lower", vec, n):
-                bad += 1
-    checks.append(Check(
-        "kerov", "transported kernel monomials are annihilated (deg<=5, n<=4)",
-        bad == 0, f"{count} vectors, {bad} failures"))
-
-    return checks
+    witness = KerovParams(Fraction(1, 2), Fraction(-3, 7))
+    return [
+        _tally("kerov", "transport intertwines the first action (|lam|<=6, n<=4)", "comparisons", (
+            hat_apply(op, DiagramVector.basis(lam, row_bound=n), n).terms
+            != _transported(op, lam, n)
+            for n in range(1, 5) for lam in _partitions_up_to(6, n) for op in OPS
+        )),
+        _tally("kerov", "transport intertwines the second action (|lam|<=6, n<=4, d<=6)",
+               "comparisons", (
+                   tilde_apply(op, DiagramVector.basis(lam, row_bound=n), n, d).terms
+                   != _transported(op, lam, n, d)
+                   for n in range(1, 5) for d in range(7) for lam in _partitions_up_to(6, n, d)
+                   for op in OPS
+               )),
+        _tally("kerov",
+               "hook vectors map to power sums, preimages to kernel generators (k<=6, n<=4)",
+               "comparisons", chain(
+                   (phi(pi_k(k, n)) != poly_to_schur(power_sum_poly(k, n))
+                    for n in range(1, 5) for k in range(1, 7)),
+                   ((phi(zeta(i, n)) != z_generator_schur(i, n))
+                    + (z_generator_schur(i, n) != poly_to_schur(z_generator_poly(i, n)))
+                    for n in range(2, 5) for i in range(2, n + 1)),
+               )),
+        _tally("kerov", "Kerov bracket relations (|lam|<=7, 5 rational parameter pairs)",
+               "diagrams x 3 relations per pair", (
+                   not _brackets_ok(
+                       lambda op, v: as_sl2[op][1] * kerov_apply(as_sl2[op][0], v, params),
+                       DiagramVector.basis(lam))
+                   for params in pairs for lam in _partitions_up_to(7, 7)
+               )),
+        _tally("kerov", "box adding escapes every row bound (witness (1^n), n<=4)", "witnesses", (
+            all(
+                len(lam) <= n
+                for lam in kerov_apply("U", DiagramVector.basis((1,) * n), witness).terms
+            )
+            for n in range(1, 5)
+        )),
+        _tally("kerov", "transported kernel monomials are annihilated (deg<=5, n<=4)", "vectors", (
+            bool(hat_apply("lower", phi_inverse(z_monomial_schur(alpha, n)), n))
+            for n in range(2, 5) for alpha in alpha_tuples(n, 5)
+        )),
+    ]
 
 
 SUITES = {
@@ -694,6 +511,7 @@ SUITES = {
     "tables": suite_tables,
     "kerov": suite_kerov,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str) -> list[Check]:

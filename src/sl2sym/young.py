@@ -114,23 +114,15 @@ def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
     return phi_inverse(act_rho2(op, _schur_rows(v, n), d))
 
 
-def kerov_apply(
-    op: str, v: DiagramVector, params: KerovParams, cutoff: int | None = None
-) -> DiagramVector:
+def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector:
     """Kerov operators on unbounded diagrams:
     U adds a box with weight z + content, D removes one with weight
     z' + content, L is diagonal with eigenvalue z*z' + 2|lam|.
-    Application is exact for any finite vector; when `cutoff` is given,
-    terms of that size or larger are rejected."""
+    Application is exact for any finite vector."""
     z = Fraction(params.z)
     zp = Fraction(params.zprime)
     table = {"U": ("add", z, 1), "L": ("diagonal", z * zp, 2), "D": ("remove", zp, 1)}
-    constants = op_constants(table, op)
-    if cutoff is not None:
-        for lam in v.terms:
-            if sum(lam) >= cutoff:
-                raise ValueError(f"term {lam!r} reaches the size cutoff {cutoff}")
-    return box_operator(v, constants, None)
+    return box_operator(v, op_constants(table, op), None)
 
 
 def phi(v: DiagramVector) -> SchurVector:

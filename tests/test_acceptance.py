@@ -142,6 +142,31 @@ def test_criterion_11_discrepancy_reporting():
                "without failing the suites", ok)
 
 
+def test_wrong_raising_constant_fails_exactly_the_dependent_checks(monkeypatch):
+    """A wrong rho1 raising constant (content + 1 instead of content) is
+    counted case by case: exactly the checks that compare the first
+    action's raise against an independent oracle fail, with these counts."""
+    from sl2sym import sl2_actions
+
+    correct = sl2_actions.rho1_constants
+
+    def broken(n):
+        return {**correct(n), "raise": ("add", 1, 1)}
+
+    monkeypatch.setattr(sl2_actions, "rho1_constants", broken)
+    monkeypatch.setattr(verify_mod, "rho1_constants", broken)
+    checks = verify_mod.suite_schur_action() + verify_mod.suite_kerov()
+    failed = {f"{c.suite}/{c.name}": c.detail for c in checks if not c.ok}
+    assert failed == {
+        "schur-action/first action matches differential operators (|lam|<=6, n<=4)":
+            "219 comparisons, 73 failures",
+        "schur-action/closed-form family images match the Schur action":
+            "174 comparisons, 58 failures",
+        "kerov/transport intertwines the first action (|lam|<=6, n<=4)":
+            "219 comparisons, 73 failures",
+    }
+
+
 CLI_EXAMPLES = [
     (
         ["act", "--rep", "rho1", "--op", "lower", "--n", "3",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from sl2sym.combinatorics import partitions
-from sl2sym.sl2_actions import act_rho1, act_rho2, decompose_finite, rational_rref
+from sl2sym.sl2_actions import act_rho1, act_rho2, character_finite, decompose_finite, rational_rref
 from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
 from sl2sym.vector import box_image, box_operator
 from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
@@ -166,5 +166,7 @@ def test_rref_equals_sympy(sympy, rows):
 
 
 def test_large_decomposition_dimension_identity():
-    decomp = decompose_finite(12, 12)
-    assert sum((i + 1) * c for i, c in decomp.items()) == comb(24, 12)
+    for n, d in ((12, 12), (120, 120)):
+        decomp = decompose_finite(n, d)
+        assert sum((i + 1) * c for i, c in decomp.items()) == comb(n + d, n)
+    assert sum(character_finite(100, 100).values()) == comb(200, 100)

@@ -119,14 +119,6 @@ def test_kerov_examples():
     assert kerov_apply("L", DiagramVector.basis((2, 1)), params) == dv({(2, 1): 21})
 
 
-def test_kerov_cutoff():
-    params = KerovParams(Fraction(1), Fraction(1))
-    v = DiagramVector.basis((2, 1))
-    assert kerov_apply("U", v, params, cutoff=4)
-    with pytest.raises(ValueError):
-        kerov_apply("U", v, params, cutoff=3)
-
-
 def test_kerov_brackets_sampled():
     params = KerovParams(Fraction(2, 3), Fraction(-1, 4))
     for size in range(6):
