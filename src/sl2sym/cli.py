@@ -65,7 +65,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}: {exc}")
 
 
-def _cmd_act(args) -> tuple[str, dict]:
+def _cmd_act(args) -> str:
     rep = args.rep
     op = args.op
     if op not in REP_OPS[rep]:
@@ -96,8 +96,9 @@ def _cmd_act(args) -> tuple[str, dict]:
         params = KerovParams(_parse_fraction(args.z), _parse_fraction(args.zprime))
         out = kerov_apply(op, vec, params)
 
-    letter = "s" if mode == "schur" else "y"
     items = out.sorted_terms()
+    if not args.json:
+        return format_terms(items, "s" if mode == "schur" else "y")
     inputs = {"rep": rep, "op": op, "n": args.n, "expr": args.expr}
     doc = {"basis": mode, "n": args.n}
     if args.d is not None:
@@ -108,10 +109,10 @@ def _cmd_act(args) -> tuple[str, dict]:
         inputs["zprime"] = args.zprime
     doc["terms"] = _terms_json(items)
     doc["metadata"] = {"command": "act", "inputs": inputs}
-    return format_terms(items, letter), doc
+    return json.dumps(doc)
 
 
-def _cmd_kernel(args) -> tuple[str, dict]:
+def _cmd_kernel(args) -> str:
     if args.rep == "rho2":
         if args.d is None:
             raise CliError("--d is required for the second representation")
@@ -121,53 +122,45 @@ def _cmd_kernel(args) -> tuple[str, dict]:
             raise CliError("the infinite kernel needs n >= 2")
         vectors = lowest_weight_basis_rho1(args.n, args.max_degree)
 
-    lines = []
-    json_vectors = []
-    for vec, weight in vectors:
-        items = vec.sorted_terms()
-        lines.append(f"weight {weight}: {format_terms(items, 's')}")
-        json_vectors.append({"weight": weight, "terms": _terms_json(items)})
+    if not args.json:
+        lines = [f"weight {weight}: {format_terms(vec.sorted_terms(), 's')}" for vec, weight in vectors]
+        return "\n".join(lines) if lines else "0"
+    json_vectors = [
+        {"weight": weight, "terms": _terms_json(vec.sorted_terms())} for vec, weight in vectors
+    ]
     inputs = {"rep": args.rep, "n": args.n}
     if args.rep == "rho2":
         inputs["d"] = args.d
     else:
         inputs["max_degree"] = args.max_degree
-    doc = {"command": "kernel", "inputs": inputs, "vectors": json_vectors}
-    return "\n".join(lines) if lines else "0", doc
+    return json.dumps({"command": "kernel", "inputs": inputs, "vectors": json_vectors})
 
 
-def _cmd_decompose(args) -> tuple[str, dict]:
+def _cmd_decompose(args) -> str:
     if (args.d is None) == (args.max_weight is None):
         raise CliError("decompose needs exactly one of --d or --max-weight")
     if args.d is not None:
-        table = decompose_finite(args.n, args.d)
-        entries = sorted(table.items())
-        text = " + ".join(
-            f"V[{i}]" if m == 1 else f"{m}*V[{i}]" for i, m in entries
-        ) or "0"
-        doc = {
-            "command": "decompose", "n": args.n, "d": args.d,
-            "multiplicities": [[i, m] for i, m in entries],
-        }
-        return text, doc
-    entries = list(enumerate(lw_counts(args.n, args.max_weight)))
-    text = "\n".join(f"c[{i}] = {m}" for i, m in entries)
-    doc = {
-        "command": "decompose", "n": args.n, "max_weight": args.max_weight,
-        "multiplicities": [[i, m] for i, m in entries],
-    }
-    return text, doc
+        entries = sorted(decompose_finite(args.n, args.d).items())
+        if not args.json:
+            return " + ".join(f"V[{i}]" if m == 1 else f"{m}*V[{i}]" for i, m in entries) or "0"
+        doc = {"command": "decompose", "n": args.n, "d": args.d}
+    else:
+        entries = list(enumerate(lw_counts(args.n, args.max_weight)))
+        if not args.json:
+            return "\n".join(f"c[{i}] = {m}" for i, m in entries)
+        doc = {"command": "decompose", "n": args.n, "max_weight": args.max_weight}
+    doc["multiplicities"] = [[i, m] for i, m in entries]
+    return json.dumps(doc)
 
 
-def _cmd_character(args) -> tuple[str, dict]:
-    char = character_finite(args.n, args.d)
-    entries = sorted(char.items())
-    text = "\n".join(f"{w} {m}" for w, m in entries)
-    doc = {
+def _cmd_character(args) -> str:
+    entries = sorted(character_finite(args.n, args.d).items())
+    if not args.json:
+        return "\n".join(f"{w} {m}" for w, m in entries)
+    return json.dumps({
         "command": "character", "n": args.n, "d": args.d,
         "exponents": [[w, m] for w, m in entries],
-    }
-    return text, doc
+    })
 
 
 def _cmd_verify(args) -> int:
@@ -240,17 +233,17 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "act":
-            text, doc = _cmd_act(args)
+            out = _cmd_act(args)
         elif args.command == "kernel":
-            text, doc = _cmd_kernel(args)
+            out = _cmd_kernel(args)
         elif args.command == "decompose":
-            text, doc = _cmd_decompose(args)
+            out = _cmd_decompose(args)
         else:
-            text, doc = _cmd_character(args)
+            out = _cmd_character(args)
     except (CliError, ParseError, EvalError, ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(doc) if args.json else text)
+    print(out)
     return 0
 
 

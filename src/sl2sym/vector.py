@@ -17,11 +17,26 @@ def canonical_order(terms: dict) -> list:
     return items
 
 
+def canonical_coefficient(c):
+    """`c` as a canonical coefficient: an int if it is integral, otherwise
+    a reduced Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class SparseVector:
     """Finite rational linear combination of basis keys in a fixed ambient
     (a variable count or a row bound).  Subclasses define `_check_ambient`
     and `_check_key` (which returns the key as stored), and name the basis
-    in `repr` by `LETTER`."""
+    in `repr` by `LETTER`.
+
+    Every stored coefficient is canonical: a nonzero int if it is
+    integral, otherwise a reduced Fraction.  A vector is immutable: no code
+    changes `terms` after construction, so results that only relabel or
+    hand over a dict (`_wrap`) may share it with their input."""
 
     __slots__ = ("ambient", "terms")
     LETTER = "?"
@@ -32,19 +47,30 @@ class SparseVector:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = canonical_coefficient(c)
                 if c:
                     clean[self._check_key(key)] = c
         self.terms = clean
 
     @classmethod
-    def _closed(cls, ambient, terms: dict):
-        """Result of a closed operation, whose keys come from checked keys
-        and whose coefficients are already Fractions: only zeros are dropped."""
+    def _wrap(cls, ambient, terms: dict):
+        """A vector holding `terms` itself, not a copy, and unchecked: its
+        keys must be checked keys and its values nonzero canonical
+        coefficients."""
         out = cls.__new__(cls)
         out.ambient = ambient
-        out.terms = {key: c for key, c in terms.items() if c}
+        out.terms = terms
         return out
+
+    @classmethod
+    def _closed(cls, ambient, terms: dict):
+        """Result of a closed operation, whose keys come from checked keys
+        and whose coefficients are ints or Fractions: zeros are dropped and
+        integral Fractions become ints."""
+        return cls._wrap(ambient, {
+            key: c if type(c) is int or c.denominator != 1 else c.numerator
+            for key, c in terms.items() if c
+        })
 
     def _unit_key(self):
         return ()
@@ -81,7 +107,7 @@ class SparseVector:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("only natural powers")
-        out = self._closed(self.ambient, {self._unit_key(): Fraction(1)})
+        out = self._closed(self.ambient, {self._unit_key(): 1})
         for _ in range(k):
             out = out * self
         return out
@@ -146,8 +172,9 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     """Linear extension of `box_image` to a partition-keyed vector.  The
     result has ambient `row_bound`; a cell added with weight 0 drops out.
     The constants and the coefficients are scaled to integers over their
-    common denominators, so the sums are taken over integers and one
-    Fraction is built per output term."""
+    common denominators, so the sums are taken over integers and each
+    output term is divided by that denominator once: an int where it
+    divides, else one Fraction."""
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
     scaled = (part, a.numerator * (k // a.denominator), b.numerator * (k // b.denominator))
@@ -158,4 +185,8 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
         for mu, w in box_image(lam, scaled, row_bound):
             out[mu] = out.get(mu, 0) + c * w
     den = k * m
-    return v._closed(row_bound, {mu: Fraction(x, den) for mu, x in out.items() if x})
+    if den == 1:
+        return v._wrap(row_bound, {mu: x for mu, x in out.items() if x})
+    return v._wrap(row_bound, {
+        mu: x // den if not x % den else Fraction(x, den) for mu, x in out.items() if x
+    })

@@ -89,13 +89,14 @@ def nabla(sign: str, lam, row_bound: int | None = None) -> DiagramVector:
 
 def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
     """The diagrams of `v`, whose keys are already checked partitions, as
-    a Schur vector in n variables: only n and the row counts are checked."""
+    a Schur vector in n variables sharing v's terms: only n and the row
+    counts are checked."""
     if n < 0:
         raise ValueError(f"need n >= 0 variables, got {n}")
     for lam in v.terms:
         if len(lam) > n:
             raise ValueError(f"partition {lam!r} has more than {n} rows")
-    return SchurVector._closed(n, v.terms)
+    return SchurVector._wrap(n, v.terms)
 
 
 def hat_apply(op: str, v: DiagramVector, n: int) -> DiagramVector:
@@ -126,15 +127,15 @@ def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector
 
 
 def phi(v: DiagramVector) -> SchurVector:
-    """Relabel diagrams as Schur basis elements."""
+    """Relabel diagrams as Schur basis elements (the terms are shared)."""
     if v.row_bound is None:
         raise ValueError("need a row-bounded diagram vector")
-    return SchurVector._closed(v.row_bound, v.terms)
+    return SchurVector._wrap(v.row_bound, v.terms)
 
 
 def phi_inverse(u: SchurVector) -> DiagramVector:
-    """Relabel Schur basis elements as diagrams."""
-    return DiagramVector._closed(u.n, u.terms)
+    """Relabel Schur basis elements as diagrams (the terms are shared)."""
+    return DiagramVector._wrap(u.n, u.terms)
 
 
 def diagram_multiply(u: DiagramVector, v: DiagramVector) -> DiagramVector:

@@ -1,10 +1,11 @@
 """Property tests on random sparse vectors (n <= 5 rows, |lam| <= 8, random
 rational coefficients): the bracket relations of every representation, the
 transported actions against their explicit formulas, the
-Littlewood-Richardson product against the monomial expansion, and the
-integer box operator against its Fraction-by-Fraction sum.  Also the
-exact row reduction against sympy's on random sparse rational matrices,
-and the dimension identity of one large finite decomposition."""
+Littlewood-Richardson product against the monomial expansion, the
+integer box operator against its Fraction-by-Fraction sum, and the
+canonical coefficients (int when integral) of every closed operation.
+Also the exact row reduction against sympy's on random sparse rational
+matrices, and the dimension identity of one large finite decomposition."""
 
 from fractions import Fraction
 from math import comb
@@ -14,11 +15,29 @@ import pytest
 from hypothesis import given, settings
 
 from sl2sym.combinatorics import partitions
-from sl2sym.sl2_actions import act_rho1, act_rho2, character_finite, decompose_finite, rational_rref
+from sl2sym.polyring import Poly
+from sl2sym.sl2_actions import (
+    act_rho1,
+    act_rho2,
+    character_finite,
+    decompose_finite,
+    rational_rref,
+    rho1_constants,
+    rho2_constants,
+)
 from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
 from sl2sym.vector import box_image, box_operator
-from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
+from sl2sym.young import (
+    DiagramVector,
+    KerovParams,
+    hat_apply,
+    kerov_apply,
+    phi,
+    phi_inverse,
+    tilde_apply,
+)
 
+from test_vector import is_canonical
 from test_young import transported
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -74,7 +93,9 @@ def test_transported_actions_equal_explicit_formulas(data, op):
     assert hat_apply(op, v, n).terms == transported(op, v, n)
     if d is not None:
         assert tilde_apply(op, v, n, d).terms == transported(op, v, n, d)
-    assert all(type(c) is Fraction for c in hat_apply(op, v, n).terms.values())
+    assert is_canonical(hat_apply(op, v, n))
+    if d is not None:
+        assert is_canonical(tilde_apply(op, v, n, d))
 
 
 @st.composite
@@ -118,7 +139,7 @@ def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeff
     out = box_operator(v, (part, a, b), row_bound)
     assert type(out) is type(v) and out.ambient == row_bound
     assert out.terms == box_operator_reference(v, (part, a, b), row_bound)
-    assert all(type(c) is Fraction and c for c in out.terms.values())
+    assert is_canonical(out)
 
 
 def test_box_operator_empty_and_cancelling():
@@ -128,6 +149,38 @@ def test_box_operator_empty_and_cancelling():
     v = SchurVector(2, {(2,): Fraction(1, 4), (1, 1): Fraction(-1, 2)})
     out = box_operator(v, ("remove", Fraction(3, 2), Fraction(1, 2)), 2)
     assert out.terms == {} and out.ambient == 2 and not out
+
+
+@given(
+    data=sparse_terms(),
+    other=st.lists(rationals, min_size=6, max_size=6),
+    z=rationals,
+    zprime=rationals,
+    k=st.integers(-9, 9),
+    q=rationals,
+    d=st.integers(0, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_operations_keep_coefficients_canonical(data, other, z, zprime, k, q, d):
+    n, _, terms = data
+    u, w = SchurVector(n, terms), SchurVector(n, dict(zip(terms, other)))
+    small = SchurVector(n, {lam: c for lam, c in terms.items() if sum(lam) <= 4})
+    f = Poly(n, {lam + (0,) * (n - len(lam)): c for lam, c in terms.items()})
+    g = Poly(n, {lam + (0,) * (n - len(lam)): c for lam, c in w.terms.items()})
+    bounded = DiagramVector(n, terms)
+    free = DiagramVector(None, terms)
+    boxed = DiagramVector(n, {lam: c for lam, c in terms.items() if not lam or lam[0] <= d})
+    kerov = {"U": ("add", z, 1), "L": ("diagonal", z * zprime, 2), "D": ("remove", zprime, 1)}
+    tables = [*rho1_constants(n).values(), *rho2_constants(n, d).values(), *kerov.values()]
+    results = [u, w, f, bounded, u + w, u - w, -u, u * k, k * u, u * q, small ** 2, small ** 0,
+               f * g, f ** 2, multiply(small, small), phi(bounded), phi_inverse(u)]
+    results += [box_operator(u, c, n) for c in tables] + [box_operator(free, c, None) for c in tables]
+    for op in ("lower", "cartan", "raise"):
+        results += [hat_apply(op, bounded, n), tilde_apply(op, boxed, n, d)]
+    params = KerovParams(z, zprime)
+    results += [kerov_apply(op, free, params) for op in "ULD"]
+    for res in results:
+        assert is_canonical(res), res
 
 
 @given(pair=basis_pairs())

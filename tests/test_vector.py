@@ -24,13 +24,38 @@ def test_ambient_attributes():
     assert not hasattr(SchurVector(3), "row_bound")
 
 
-def test_closed_results_drop_zeros_and_keep_fractions():
+def is_canonical(v) -> bool:
+    """Every coefficient of `v` is a nonzero int or a non-integral Fraction."""
+    return all(
+        c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+        for c in v.terms.values()
+    )
+
+
+def test_closed_results_drop_zeros_and_stay_canonical():
     v = SchurVector(3, {(2, 1): Fraction(1, 2), (1,): 3})
     assert (v - v).terms == {} and not v * 0 and not -v + v
     for w in (v + v, -v, 2 * v, v * Fraction(2, 3), v ** 2, act_rho1("raise", v)):
-        assert w and all(type(c) is Fraction for c in w.terms.values())
-    assert v ** 0 == SchurVector.unit(3)
+        assert w and is_canonical(w)
+    assert (v + v).terms == {(2, 1): 1, (1,): 6} and type((v + v).terms[(2, 1)]) is int
+    assert v ** 0 == SchurVector.unit(3) and type((v ** 0).terms[()]) is int
     assert Poly.variable(2, 1) ** 0 == Poly.constant(2, 1)
+
+
+def test_canonical_coefficient_boundaries():
+    two = SchurVector(2, {(1,): Fraction(4, 2)})
+    assert two.terms == {(1,): 2} and type(two.terms[(1,)]) is int
+    assert SchurVector(2, {(1,): Fraction(0, 3), (): True}).terms == {(): 1}
+    assert type(SchurVector(2, {(): True}).terms[()]) is int
+    s = SchurVector(3, {(2, 1): 1, (1,): 3})
+    halves = s * Fraction(1, 2) + s * Fraction(1, 2)
+    assert halves == s and all(type(c) is int for c in halves.terms.values())
+    assert is_canonical(s * Fraction(1, 2)) and (s * Fraction(1, 2)).terms[(2, 1)] == Fraction(1, 2)
+    # U adds a box with weight z + content: 2*y[1] -> 3*y[2] - y[1,1] and
+    # y[2] -> 5/2*y[3] - 1/2*y[2,1]
+    image = kerov_apply("U", DiagramVector(None, {(1,): 2, (2,): 1}), KerovParams(Fraction(1, 2), 0))
+    assert image.terms == {(2,): 3, (1, 1): -1, (3,): Fraction(5, 2), (2, 1): Fraction(-1, 2)}
+    assert type(image.terms[(2,)]) is int and type(image.terms[(1, 1)]) is int and is_canonical(image)
 
 
 def test_checked_constructor_and_map_basis():

@@ -4,6 +4,7 @@ import pytest
 
 from sl2sym.combinatorics import add_cell, addable_corners, content, partitions
 from sl2sym.symfunc import SchurVector, power_sum_schur, z_generator_schur, z_monomial_schur
+from sl2sym.vector import box_operator
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -148,6 +149,22 @@ def test_phi_round_trip():
     assert phi_inverse(phi(v)) == v
     with pytest.raises(ValueError):
         phi(DiagramVector.basis((1,)))
+
+
+def test_relabelling_shares_terms_and_nothing_mutates_them():
+    w = dv({(2, 1): Fraction(1, 2), (1,): 3, (): -1}, bound=3)
+    u = SchurVector(3, {(2,): 2, (1, 1): Fraction(-1, 3)})
+    assert phi(w).terms is w.terms and phi_inverse(u).terms is u.terms
+    h = hat_apply("raise", w, 3)
+    before = [(v, dict(v.terms)) for v in (w, u, h)]
+    for v in (phi(w), phi_inverse(u), h):
+        assert (v + v) - v == v and v * 3 == 3 * v and -(v * Fraction(1, 2)) * -2 == v
+        assert box_operator(v, ("diagonal", 0, 1), v.ambient).terms.keys() == v.terms.keys() - {()}
+        assert box_operator(v, ("add", Fraction(1, 2), 1), v.ambient)
+    assert hat_apply("cartan", w, 3).terms.keys() == w.terms.keys() - {()}
+    # lower s = -(n + content) s' on each removable cell: 2*(-4) - 1/3*(-2)
+    assert hat_apply("lower", phi_inverse(u), 3) == dv({(1,): Fraction(-22, 3)}, bound=3)
+    assert all(v.terms == terms for v, terms in before)
 
 
 def test_diagram_multiply():
