@@ -73,7 +73,7 @@ class Poly(SparseVector):
             if e:
                 key = exps[: k - 1] + (e - 1,) + exps[k:]
                 out[key] = out.get(key, 0) + c * e
-        return Poly(self.n, out)
+        return Poly._closed(self.n, out)
 
     def is_symmetric(self) -> bool:
         """True iff invariant under every adjacent swap of variables."""
@@ -85,9 +85,6 @@ class Poly(SparseVector):
             if swapped != self.terms:
                 return False
         return True
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
 
 def _monomial_operator(op: str, f: Poly, constants: dict) -> Poly:
@@ -106,7 +103,7 @@ def _monomial_operator(op: str, f: Poly, constants: dict) -> Poly:
             if w:
                 key = exps[:k] + (e + step,) + exps[k + 1:]
                 out[key] = out.get(key, 0) + c * w
-    return Poly(f.n, out)
+    return Poly._closed(f.n, out)
 
 
 def rho1_apply(op: str, f: Poly) -> Poly:

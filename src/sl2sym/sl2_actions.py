@@ -3,7 +3,7 @@ decomposition into irreducibles, characters, and the realization of the
 finite standard module by scaled elementary symmetric polynomials."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -14,7 +14,7 @@ from .combinatorics import (
     partitions,
 )
 from .symfunc import SchurVector, elementary_schur, multiply, power_sum_schur, z_monomial_schur
-from .vector import box_image, box_operator, op_constants
+from .vector import box_operator, op_constants
 
 
 class LowestWeightVector(NamedTuple):
@@ -147,89 +147,67 @@ def decompose_finite(n: int, d: int) -> dict[int, int]:
     return decomp
 
 
-def rational_rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form over exact rationals with deterministic
-    pivoting (first nonzero column, smallest row index).  Returns the
-    reduced matrix and the pivot column list.  Each elimination step only
-    touches the columns where the pivot row is nonzero.  The input rows are
-    copied, not changed; Fraction entries are shared, being immutable."""
-    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+def rational_nullspace(images: list[dict]) -> list[dict]:
+    """Kernel of the linear map sending basis element j to `images[j]`, a
+    sparse {key: coefficient} dict that is not changed.  Each image is
+    reduced in order against the pivots, the earlier images that are
+    independent, each kept reduced with the key it clears and the
+    combination of images it is.  An image that reduces to zero yields the
+    kernel vector {j: 1, p: -c_p}, the unique one supported on j and the
+    earlier pivots: the vector a reduced row echelon form gives for the
+    free column j.  The reduction runs over integers, each image first
+    scaled by the lcm of its denominators; only the kernel vectors are
+    divided out."""
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        prow = m[r]
-        # earlier columns of the pivot row are already zero
-        support = [j for j in range(c, ncols) if prow[j]]
-        pv = prow[c]
-        for j in support:
-            prow[j] /= pv
-        for i in range(nrows):
-            row = m[i]
-            if i != r and row[c]:
-                f = row[c]
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Deterministic kernel basis: one vector per free column, with a 1 in
-    the free position."""
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    m, pivots = rational_rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -m[r_idx][fc]
-        basis.append(v)
-    return basis
-
-
-def graded_matrix(constants, domain: list, codomain: list, row_bound) -> list[list]:
-    """Matrix of one box operator (constants as in `box_image`) from the
-    span of the `domain` partitions to that of the `codomain` partitions,
-    one column per domain partition."""
-    index = {lam: r for r, lam in enumerate(codomain)}
-    rows = [[Fraction(0)] * len(domain) for _ in codomain]
-    for col, lam in enumerate(domain):
-        for mu, w in box_image(lam, constants, row_bound):
-            if w:
-                rows[index[mu]][col] = Fraction(w)
-    return rows
+    kernel = []
+    for j, image in enumerate(images):
+        m = lcm(*(c.denominator for c in image.values()))
+        v = {k: c.numerator * (m // c.denominator) for k, c in image.items()}
+        combo = {j: m}
+        for key, reduced, pivot_combo in pivots:
+            f = v.get(key)
+            if f:
+                p = reduced[key]
+                g = gcd(f, p)
+                a, b = p // g, f // g
+                if a != 1:
+                    v = {k: a * c for k, c in v.items()}
+                    combo = {i: a * c for i, c in combo.items()}
+                for k, c in reduced.items():
+                    x = v.get(k, 0) - b * c
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
+                for i, c in pivot_combo.items():
+                    combo[i] = combo.get(i, 0) - b * c
+        if v:
+            g = gcd(*v.values(), *combo.values())
+            pivots.append((
+                next(iter(v)),
+                {k: c // g for k, c in v.items()},
+                {i: c // g for i, c in combo.items()},
+            ))
+        else:
+            den = combo[j]
+            kernel.append({
+                i: c // den if not c % den else Fraction(c, den) for i, c in combo.items() if c
+            })
+    return kernel
 
 
 def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     """Basis of the lowering kernel inside the n x d box, computed per
-    cartan-weight component by exact nullspace of the lowering matrix in the
-    Schur basis.  The number of vectors of weight -i equals the multiplicity
-    of the (i+1)-dimensional irreducible."""
+    cartan-weight component as the exact kernel of the lowering images of
+    its Schur basis elements.  The number of vectors of weight -i equals
+    the multiplicity of the (i+1)-dimensional irreducible."""
     lower = rho2_constants(n, d)["lower"]
     out = []
     for m in range(n * d + 1):
-        domain = sorted(partitions(m, n, d), reverse=True)
-        if not domain:
-            continue
-        codomain = sorted(partitions(m - 1, n, d), reverse=True) if m else []
-        rows = graded_matrix(lower, domain, codomain, n)
-        for vec in rational_nullspace(rows, len(domain)):
-            sv = SchurVector(
-                n, {domain[j]: vec[j] for j in range(len(domain)) if vec[j]}
-            )
+        domain = list(partitions(m, n, d))
+        images = [box_operator(SchurVector._wrap(n, {lam: 1}), lower, n).terms for lam in domain]
+        for vec in rational_nullspace(images):
+            sv = SchurVector(n, {domain[j]: vec[j] for j in sorted(vec)})
             out.append(LowestWeightVector(sv, 2 * m - n * d))
     return out
 

@@ -125,14 +125,6 @@ class SparseVector:
     def __hash__(self):
         return hash((self.ambient, frozenset(self.terms.items())))
 
-    def map_basis(self, image):
-        """Linear extension of `image`, a map key -> {key: coeff}."""
-        out = {}
-        for key, c in self.terms.items():
-            for mu, a in image(key).items():
-                out[mu] = out.get(mu, 0) + c * a
-        return type(self)(self.ambient, out)
-
     def sorted_terms(self) -> list:
         return canonical_order(self.terms)
 

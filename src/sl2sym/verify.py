@@ -35,11 +35,9 @@ from .sl2_actions import (
     act_rho2,
     character_finite,
     decompose_finite,
-    graded_matrix,
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
-    rational_rref,
-    rho1_constants,
+    rational_nullspace,
     vd_realization,
     weight_of_alpha,
 )
@@ -216,10 +214,9 @@ def _raised_kernel_failures(alpha, n):
 
 
 def _raising_not_injective(n, m):
-    domain = sorted(partitions(m, n), reverse=True)
-    codomain = sorted(partitions(m + 1, n), reverse=True)
-    _, pivots = rational_rref(graded_matrix(rho1_constants(n)["raise"], domain, codomain, n))
-    return len(pivots) != len(domain)
+    return bool(rational_nullspace(
+        [act_rho1("raise", SchurVector.basis(n, lam)).terms for lam in partitions(m, n)]
+    ))
 
 
 def suite_kernel():

@@ -15,7 +15,7 @@ from .combinatorics import (
     removable_corners,
 )
 from .sl2_actions import act_rho1, act_rho2
-from .symfunc import SchurVector, multiply, power_sum_schur, z_generator_schur
+from .symfunc import SchurVector, power_sum_schur, z_generator_schur
 from .vector import SparseVector, box_operator, op_constants
 
 
@@ -136,11 +136,6 @@ def phi(v: DiagramVector) -> SchurVector:
 def phi_inverse(u: SchurVector) -> DiagramVector:
     """Relabel Schur basis elements as diagrams (the terms are shared)."""
     return DiagramVector._wrap(u.n, u.terms)
-
-
-def diagram_multiply(u: DiagramVector, v: DiagramVector) -> DiagramVector:
-    """Product transported from the Schur basis (Littlewood-Richardson)."""
-    return phi_inverse(multiply(phi(u), phi(v)))
 
 
 def pi_k(k: int, n: int) -> DiagramVector:

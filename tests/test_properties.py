@@ -4,7 +4,7 @@ transported actions against their explicit formulas, the
 Littlewood-Richardson product against the monomial expansion, the
 integer box operator against its Fraction-by-Fraction sum, and the
 canonical coefficients (int when integral) of every closed operation.
-Also the exact row reduction against sympy's on random sparse rational
+Also the exact sparse kernel against sympy's on random sparse rational
 matrices, and the dimension identity of one large finite decomposition."""
 
 from fractions import Fraction
@@ -21,12 +21,12 @@ from sl2sym.sl2_actions import (
     act_rho2,
     character_finite,
     decompose_finite,
-    rational_rref,
+    rational_nullspace,
     rho1_constants,
     rho2_constants,
 )
 from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
-from sl2sym.vector import box_image, box_operator
+from sl2sym.vector import box_image, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -197,25 +197,30 @@ def sympy():
 
 
 @st.composite
-def sparse_matrices(draw):
-    """Up to 8 x 10 rational matrices with about a third of the entries
-    nonzero."""
+def sparse_columns(draw):
+    """(nrows, columns): up to 10 columns of an up to 8-row rational matrix,
+    each a {row: coefficient} dict with about a third of the rows present,
+    the coefficients canonical as the box operator gives them."""
     nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 10))
-    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
-    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    entry = st.one_of(st.just(0), st.just(0), rationals.map(canonical_coefficient))
+    columns = [{r: draw(entry) for r in range(nrows)} for _ in range(ncols)]
+    return nrows, [{r: c for r, c in column.items() if c} for column in columns]
 
 
-@given(rows=sparse_matrices())
+@given(data=sparse_columns())
 @settings(max_examples=150, deadline=None)
-def test_rref_equals_sympy(sympy, rows):
-    copy = [list(row) for row in rows]
-    reduced, pivots = rational_rref(rows)
-    assert rows == copy and all(r is not row for r in reduced for row in rows)
-    expected, expected_pivots = sympy.Matrix(rows).rref()
-    assert pivots == list(expected_pivots)
-    assert reduced == [
-        [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(rows))
+def test_nullspace_equals_sympy(sympy, data):
+    nrows, columns = data
+    copy = [dict(column) for column in columns]
+    kernel = rational_nullspace(columns)
+    assert columns == copy
+    rows = [[column.get(r, 0) for column in columns] for r in range(nrows)]
+    expected = [
+        {j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(vec) if x}
+        for vec in sympy.Matrix(rows).nullspace()
     ]
+    assert kernel == expected
+    assert all(type(c) is int or c.denominator != 1 for vec in kernel for c in vec.values())
 
 
 def test_large_decomposition_dimension_identity():

@@ -14,7 +14,6 @@ from sl2sym.sl2_actions import (
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
     rational_nullspace,
-    rational_rref,
     vd_realization,
     weight_of_alpha,
 )
@@ -221,14 +220,10 @@ def test_standard_module_relations():
 
 
 def test_rational_linear_algebra():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    reduced, pivots = rational_rref(rows)
-    assert pivots == [0]
-    assert reduced[0] == [Fraction(1), Fraction(2)]
-    null = rational_nullspace(rows, 2)
-    assert null == [[Fraction(-2), Fraction(1)]]
-    assert rational_nullspace([], 3) == [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1)],
-    ]
+    # the columns (1, 2) and (2, 4): the second is twice the first
+    assert rational_nullspace([{"a": 1, "b": 2}, {"a": 2, "b": 4}]) == [{1: 1, 0: -2}]
+    assert rational_nullspace([{"a": Fraction(1, 2)}, {"a": 3}, {"b": 1}]) == [{1: 1, 0: -6}]
+    assert rational_nullspace([{"a": 2}, {"a": 3}]) == [{1: 1, 0: Fraction(-3, 2)}]
+    # every image empty: the unit vectors
+    assert rational_nullspace([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
+    assert rational_nullspace([]) == []

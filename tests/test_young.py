@@ -8,7 +8,6 @@ from sl2sym.vector import box_operator
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
-    diagram_multiply,
     hat_apply,
     kerov_apply,
     nabla,
@@ -165,14 +164,6 @@ def test_relabelling_shares_terms_and_nothing_mutates_them():
     # lower s = -(n + content) s' on each removable cell: 2*(-4) - 1/3*(-2)
     assert hat_apply("lower", phi_inverse(u), 3) == dv({(1,): Fraction(-22, 3)}, bound=3)
     assert all(v.terms == terms for v, terms in before)
-
-
-def test_diagram_multiply():
-    u = DiagramVector.basis((1,), 3)
-    v = DiagramVector.basis((2, 1), 3)
-    assert diagram_multiply(u, v) == dv(
-        {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}, bound=3
-    )
 
 
 def test_pi_k():
