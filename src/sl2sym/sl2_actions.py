@@ -34,8 +34,8 @@ def rho2_constants(n: int, d: int) -> dict:
     lower s = +sum (n + content) s', cartan s = (2|lam| - n*d) s,
     raise s = sum (d - content) s'.  The corner in column d+1 has content d,
     so the column bound is preserved automatically."""
-    if d < 0:
-        raise ValueError(f"need d >= 0, got d={d}")
+    if n < 0 or d < 0:
+        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     return {"lower": ("remove", n, 1), "cartan": ("diagonal", -n * d, 2), "raise": ("add", d, -1)}
 
 

@@ -7,8 +7,6 @@ from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
-from .combinatorics import add_cell, addable_corners, content, remove_cell, removable_corners
-
 
 def canonical_order(terms: dict) -> list:
     """Items sorted by degree, then lexicographically descending key."""
@@ -144,38 +142,40 @@ def op_constants(table: dict, op: str) -> tuple:
         raise ValueError(f"unknown operator {op!r}") from None
 
 
-def box_image(lam, constants, row_bound) -> list:
-    """Image of the single partition `lam` as (partition, weight) pairs.
-    `constants` is (part, a, b):
-    - ("remove", a, b): every removable cell, weight a + b*content;
-    - ("add", a, b): every cell addable within `row_bound` rows (None:
-      unbounded), weight a + b*content;
-    - ("diagonal", a, b): lam itself, weight a + b*|lam|."""
-    part, a, b = constants
-    if part == "diagonal":
-        return [(lam, a + b * sum(lam))]
-    if part == "remove":
-        return [(remove_cell(lam, cell), a + b * content(cell)) for cell in removable_corners(lam)]
-    bound = len(lam) + 1 if row_bound is None else row_bound
-    return [(add_cell(lam, cell), a + b * content(cell)) for cell in addable_corners(lam, bound)]
-
-
 def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
-    """Linear extension of `box_image` to a partition-keyed vector.  The
-    result has ambient `row_bound`; a cell added with weight 0 drops out.
-    The constants and the coefficients are scaled to integers over their
-    common denominators, so the sums are taken over integers and each
-    output term is divided by that denominator once: an int where it
-    divides, else one Fraction."""
+    """The content-weighted box operator on a partition-keyed vector, with
+    ambient `row_bound`.  `constants` (part, a, b) sends lam to lam less each
+    removable cell ("remove") or plus each cell addable within `row_bound`
+    rows (None: unbounded) ("add"), top to bottom, weighted a + b*content, or
+    to lam weighted a + b*|lam| ("diagonal"), in one pass over its rows.  Sums
+    run over integers on one common denominator, divided out once per term."""
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
-    scaled = (part, a.numerator * (k // a.denominator), b.numerator * (k // b.denominator))
+    a, b = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator)
     m = lcm(*(c.denominator for c in v.terms.values()))
     out = {}
+    get = out.get
     for lam, c in v.terms.items():
         c = c.numerator * (m // c.denominator)
-        for mu, w in box_image(lam, scaled, row_bound):
-            out[mu] = out.get(mu, 0) + c * w
+        if part == "diagonal":
+            out[lam] = get(lam, 0) + c * (a + b * sum(lam))
+            continue
+        rows = len(lam)
+        if part == "remove":
+            for r, p in enumerate(lam):
+                if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
+                    mu = lam[:r] + (p - 1,) + lam[r + 1:] if p > 1 else lam[:r]
+                    out[mu] = get(mu, 0) + c * (a + b * (p - r - 1))
+            continue
+        if row_bound is not None and rows > row_bound:
+            raise ValueError(f"{lam!r} already has more than {row_bound} rows")
+        for r, p in enumerate(lam):
+            if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
+                mu = lam[:r] + (p + 1,) + lam[r + 1:]
+                out[mu] = get(mu, 0) + c * (a + b * (p - r))
+        if row_bound is None or rows < row_bound:
+            mu = lam + (1,)
+            out[mu] = get(mu, 0) + c * (a - b * rows)
     den = k * m
     if den == 1:
         return v._wrap(row_bound, {mu: x for mu, x in out.items() if x})

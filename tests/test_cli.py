@@ -169,6 +169,7 @@ def test_format_terms():
     ["decompose", "--n", "-1", "--d", "2"],
     ["decompose", "--n", "3", "--max-weight", "-2"],
     ["kernel", "--rep", "rho1", "--n", "3", "--max-degree", "-1"],
+    ["kernel", "--rep", "rho2", "--n", "-1", "--d", "2"],
     ["act", "--rep", "kerov", "--op", "U", "--n", "-1", "--z", "0", "--zprime", "0",
      "--expr", "y[1]"],
 ])

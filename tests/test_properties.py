@@ -2,7 +2,8 @@
 rational coefficients): the bracket relations of every representation, the
 transported actions against their explicit formulas, the
 Littlewood-Richardson product against the monomial expansion, the
-integer box operator against its Fraction-by-Fraction sum, and the
+integer box operator against its Fraction-by-Fraction sum over the
+one-partition spec `box_image` (values and term order), and the
 canonical coefficients (int when integral) of every closed operation.
 Also the exact sparse kernel against sympy's on random sparse rational
 matrices, and the dimension identity of one large finite decomposition."""
@@ -14,7 +15,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from sl2sym.combinatorics import partitions
+from sl2sym.combinatorics import (
+    add_cell,
+    addable_corners,
+    content,
+    partitions,
+    remove_cell,
+    removable_corners,
+)
 from sl2sym.polyring import Poly
 from sl2sym.sl2_actions import (
     act_rho1,
@@ -26,7 +34,7 @@ from sl2sym.sl2_actions import (
     rho2_constants,
 )
 from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
-from sl2sym.vector import box_image, box_operator, canonical_coefficient
+from sl2sym.vector import box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -107,6 +115,22 @@ def basis_pairs(draw):
     return n, lam, mu
 
 
+def box_image(lam, constants, row_bound) -> list:
+    """The specification of `box_operator` on the single partition `lam`,
+    as (partition, weight) pairs.  `constants` is (part, a, b):
+    - ("remove", a, b): every removable cell, weight a + b*content;
+    - ("add", a, b): every cell addable within `row_bound` rows (None:
+      unbounded), weight a + b*content;
+    - ("diagonal", a, b): lam itself, weight a + b*|lam|."""
+    part, a, b = constants
+    if part == "diagonal":
+        return [(lam, a + b * sum(lam))]
+    if part == "remove":
+        return [(remove_cell(lam, cell), a + b * content(cell)) for cell in removable_corners(lam)]
+    bound = len(lam) + 1 if row_bound is None else row_bound
+    return [(add_cell(lam, cell), a + b * content(cell)) for cell in addable_corners(lam, bound)]
+
+
 def box_operator_reference(v, constants, row_bound):
     """The linear extension of box_image, summed Fraction by Fraction."""
     out = {}
@@ -138,7 +162,9 @@ def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeff
     v = SchurVector(n, terms) if bounded else DiagramVector(None, terms)
     out = box_operator(v, (part, a, b), row_bound)
     assert type(out) is type(v) and out.ambient == row_bound
-    assert out.terms == box_operator_reference(v, (part, a, b), row_bound)
+    reference = box_operator_reference(v, (part, a, b), row_bound)
+    assert out.terms == reference
+    assert list(out.terms) == list(reference)
     assert is_canonical(out)
 
 
@@ -149,6 +175,11 @@ def test_box_operator_empty_and_cancelling():
     v = SchurVector(2, {(2,): Fraction(1, 4), (1, 1): Fraction(-1, 2)})
     out = box_operator(v, ("remove", Fraction(3, 2), Fraction(1, 2)), 2)
     assert out.terms == {} and out.ambient == 2 and not out
+
+
+def test_box_operator_add_refuses_rows_past_the_bound():
+    with pytest.raises(ValueError, match=r"^\(1, 1\) already has more than 1 rows$"):
+        box_operator(DiagramVector(None, {(1, 1): 1}), ("add", 1, 0), 1)
 
 
 @given(

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,24 @@ def test_lowest_weight_space_rho2():
         assert lw1[0].weight == -d
 
     assert sorted(v.weight for v in lowest_weight_space_rho2(2, 2)) == [-4, 0]
+    assert [(w, list(v.terms.items())) for v, w in lowest_weight_space_rho2(2, 3)] == [
+        (-6, [((), 1)]), (-2, [((2,), Fraction(-1, 3)), ((1, 1), 1)])
+    ]
+
+
+@pytest.mark.parametrize("n, d, count, digest", [
+    (3, 4, 5, "983f198c458db0cb"),
+    (4, 3, 5, "34722d3dd0c51e30"),
+    (5, 4, 12, "acbcbd422745dd81"),
+])
+def test_lowest_weight_space_rho2_is_pinned(n, d, count, digest):
+    # sha256 of the weights and the terms, in order and with their exact
+    # coefficient types: a rewrite of the box operator or of the nullspace
+    # must leave the kernel basis exactly as it is
+    lw = lowest_weight_space_rho2(n, d)
+    text = repr([(weight, list(vec.terms.items())) for vec, weight in lw])
+    assert len(lw) == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_vd_realization():

@@ -5,7 +5,7 @@ import pytest
 from sl2sym.polyring import Poly
 from sl2sym.sl2_actions import act_rho1, act_rho2
 from sl2sym.symfunc import SchurVector
-from sl2sym.vector import SparseVector, box_image, box_operator
+from sl2sym.vector import SparseVector, box_operator
 from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
 
 ALGEBRA = ("__init__", "__add__", "__sub__", "__neg__", "__eq__", "__hash__", "__bool__", "__pow__")
@@ -86,10 +86,21 @@ def test_repr():
 
 
 def test_box_image_parts():
-    assert box_image((2, 1), ("remove", 0, 1), 3) == [((1, 1), 1), ((2,), -1)]
-    assert box_image((2, 1), ("add", 5, 1), None) == [((3, 1), 7), ((2, 2), 5), ((2, 1, 1), 3)]
-    assert box_image((2, 1), ("add", 5, 1), 2) == [((3, 1), 7), ((2, 2), 5)]
-    assert box_image((2, 1), ("diagonal", 1, 2), 3) == [((2, 1), 7)]
+    def image(v, constants, row_bound):
+        return list(box_operator(v, constants, row_bound).terms.items())
+
+    lam = {(2, 1): 1}
+    assert image(SchurVector(3, lam), ("remove", 0, 1), 3) == [((1, 1), 1), ((2,), -1)]
+    assert image(DiagramVector(None, lam), ("add", 5, 1), None) == [
+        ((3, 1), 7), ((2, 2), 5), ((2, 1, 1), 3)
+    ]
+    assert image(SchurVector(2, lam), ("add", 5, 1), 2) == [((3, 1), 7), ((2, 2), 5)]
+    assert image(SchurVector(3, lam), ("diagonal", 1, 2), 3) == [((2, 1), 7)]
+    # (3, 2) is first reached from (3, 1) with weight 0 and keeps that place
+    two = DiagramVector(None, {(3, 1): 1, (2, 2): 1})
+    assert image(two, ("add", 0, 1), None) == [
+        ((4, 1), 3), ((3, 2), 2), ((3, 1, 1), -2), ((2, 2, 1), -2)
+    ]
 
 
 def test_box_operator_unbounded_result():
