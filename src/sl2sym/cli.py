@@ -8,7 +8,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
 from .exprlang import EvalError, ParseError, degree, evaluate, parse
 from .sl2_actions import (
     act_rho1,
@@ -164,7 +163,10 @@ def _cmd_character(args) -> str:
 
 
 def _cmd_verify(args) -> int:
-    checks = verify_mod.run_suite(args.suite)
+    # verify loads the monomial oracles; no other command needs them
+    from .verify import run_suite
+
+    checks = run_suite(args.suite)
     failures = 0
     for check in checks:
         if check.note:
@@ -220,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     char.add_argument("--json", action="store_true")
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", required=True,
-                     choices=verify_mod.SUITE_NAMES + ("all",))
+    ver.add_argument("--suite", required=True, help="a suite name, or all")
 
     return parser
 

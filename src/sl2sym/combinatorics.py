@@ -175,12 +175,6 @@ def lw_counts(n: int, max_weight: int) -> list[int]:
     return counts
 
 
-def count_lw_solutions(n: int, i: int) -> int:
-    """c_i of `lw_counts`, and 0 for negative i."""
-    counts = lw_counts(n, max(i, 0))
-    return counts[i] if i >= 0 else 0
-
-
 def alpha_degree(alpha) -> int:
     """Polynomial degree of z_2^a_1 * z_3^a_2 * ... given the exponent tuple."""
     return sum((k + 2) * a for k, a in enumerate(alpha))

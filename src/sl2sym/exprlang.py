@@ -36,6 +36,13 @@ class EvalError(Exception):
     pass
 
 
+class _EndOfInput:
+    """The value of the end token, named as such in error messages."""
+
+    def __repr__(self):
+        return "end of input"
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -58,7 +65,7 @@ def _tokenize(text: str):
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(("end", None, len(text) + 1))
+    tokens.append(("end", _EndOfInput(), len(text) + 1))
     return tokens
 
 

@@ -1,13 +1,18 @@
 """Sparse multivariate polynomials with exact rational coefficients, the
 differential operators giving both sl2-actions, the classical symmetric
-families, the slice homomorphism onto the lowering kernel, and the kernel
-generators z_i."""
+families, the slice homomorphism onto the lowering kernel, the kernel
+generators z_i, and the monomial expansion of Schur polynomials and back.
+The Schur-basis engine never imports this module; `verify` and the tests
+check the engine against it."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
 from operator import add
 
+from .combinatorics import Partition, check_partition
+from .symfunc import SchurVector
 from .vector import SparseVector, op_constants
 
 class Poly(SparseVector):
@@ -191,3 +196,77 @@ def z_generator_poly(i: int, n: int) -> Poly:
         coef = (-1) ** k * n ** (i - k - 1) * comb(i, k)
         total = total + power_sum_poly(i - k, n) * (p1 ** k) * coef
     return total + (p1 ** i) * ((i - 1) * (-1) ** (i + 1))
+
+
+def staircase(n: int) -> Partition:
+    """(n-1, n-2, ..., 1, 0)."""
+    return tuple(range(n - 1, -1, -1))
+
+
+@lru_cache(maxsize=1024)
+def schur_to_poly(lam: Partition, n: int) -> Poly:
+    """Schur polynomial in n variables by semistandard tableau enumeration:
+    rows weakly increase, columns strictly increase, entries in 1..n; each
+    tableau contributes its content monomial."""
+    lam = check_partition(lam)
+    if len(lam) > n:
+        raise ValueError(f"partition {lam!r} has more than {n} rows")
+    terms: dict = {}
+
+    def fill_row(row_idx, col, min_val, prev_row, row, weight):
+        if col == lam[row_idx]:
+            fill_shape(row_idx + 1, tuple(row), weight)
+            return
+        lo = max(min_val, (prev_row[col] + 1) if prev_row else 1)
+        for v in range(lo, n + 1):
+            row.append(v)
+            weight[v - 1] += 1
+            fill_row(row_idx, col + 1, v, prev_row, row, weight)
+            weight[v - 1] -= 1
+            row.pop()
+
+    def fill_shape(row_idx, prev_row, weight):
+        if row_idx == len(lam):
+            key = tuple(weight)
+            terms[key] = terms.get(key, 0) + 1
+            return
+        fill_row(row_idx, 0, 1, prev_row, [], weight)
+
+    fill_shape(0, None, [0] * n)
+    return Poly(n, terms)
+
+
+def alternant(mu, n: int) -> Poly:
+    """det(x_i^mu_j), expanded over permutations with sign."""
+    mu = tuple(mu)
+    if len(mu) != n:
+        raise ValueError(f"need {n} exponents, got {mu!r}")
+    terms: dict = {}
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        sign = -1 if inversions % 2 else 1
+        key = tuple(mu[perm[i]] for i in range(n))
+        terms[key] = terms.get(key, 0) + sign
+    return Poly(n, terms)
+
+
+def poly_to_schur(f: Poly) -> SchurVector:
+    """Expand a symmetric polynomial in the Schur basis by repeatedly
+    stripping the lexicographically greatest remaining monomial, whose
+    sorted exponent vector names the next Schur term."""
+    if not f.is_symmetric():
+        raise ValueError("Schur expansion needs a symmetric polynomial")
+    n = f.n
+    out = {}
+    rem = f
+    while rem:
+        exps = max(rem.terms)
+        if any(exps[k] < exps[k + 1] for k in range(n - 1)):
+            raise ArithmeticError(f"leading exponent {exps!r} is not sorted")
+        lam = tuple(p for p in exps if p)
+        c = rem.terms[exps]
+        out[lam] = c
+        rem = rem - schur_to_poly(lam, n) * c
+    return SchurVector(n, out)

@@ -1,14 +1,12 @@
-"""The Schur-basis view of the symmetric polynomial algebra: tableau
-expansion of Schur polynomials, conversion of symmetric polynomials into
-the Schur basis, multiplication, and the named families (power sums,
-elementary, complete homogeneous, kernel generators) as Schur vectors."""
+"""The Schur-basis view of the symmetric polynomial algebra: the
+Littlewood-Richardson product and the named families (power sums,
+elementary, kernel generators) as Schur vectors.  The monomial expansions
+that check them live in `polyring`."""
 
 from functools import lru_cache
-from itertools import permutations
 from math import comb
 
 from .combinatorics import Partition, check_partition
-from .polyring import Poly, power_sum_poly
 from .vector import SparseVector, box_operator
 
 
@@ -49,80 +47,6 @@ class SchurVector(SparseVector):
         return super().__mul__(other)
 
 
-def staircase(n: int) -> Partition:
-    """(n-1, n-2, ..., 1, 0)."""
-    return tuple(range(n - 1, -1, -1))
-
-
-@lru_cache(maxsize=1024)
-def schur_to_poly(lam: Partition, n: int) -> Poly:
-    """Schur polynomial in n variables by semistandard tableau enumeration:
-    rows weakly increase, columns strictly increase, entries in 1..n; each
-    tableau contributes its content monomial."""
-    lam = check_partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam!r} has more than {n} rows")
-    terms: dict = {}
-
-    def fill_row(row_idx, col, min_val, prev_row, row, weight):
-        if col == lam[row_idx]:
-            fill_shape(row_idx + 1, tuple(row), weight)
-            return
-        lo = max(min_val, (prev_row[col] + 1) if prev_row else 1)
-        for v in range(lo, n + 1):
-            row.append(v)
-            weight[v - 1] += 1
-            fill_row(row_idx, col + 1, v, prev_row, row, weight)
-            weight[v - 1] -= 1
-            row.pop()
-
-    def fill_shape(row_idx, prev_row, weight):
-        if row_idx == len(lam):
-            key = tuple(weight)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        fill_row(row_idx, 0, 1, prev_row, [], weight)
-
-    fill_shape(0, None, [0] * n)
-    return Poly(n, terms)
-
-
-def alternant(mu, n: int) -> Poly:
-    """det(x_i^mu_j), expanded over permutations with sign."""
-    mu = tuple(mu)
-    if len(mu) != n:
-        raise ValueError(f"need {n} exponents, got {mu!r}")
-    terms: dict = {}
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        sign = -1 if inversions % 2 else 1
-        key = tuple(mu[perm[i]] for i in range(n))
-        terms[key] = terms.get(key, 0) + sign
-    return Poly(n, terms)
-
-
-def poly_to_schur(f: Poly) -> SchurVector:
-    """Expand a symmetric polynomial in the Schur basis by repeatedly
-    stripping the lexicographically greatest remaining monomial, whose
-    sorted exponent vector names the next Schur term."""
-    if not f.is_symmetric():
-        raise ValueError("Schur expansion needs a symmetric polynomial")
-    n = f.n
-    out = {}
-    rem = f
-    while rem:
-        exps = max(rem.terms)
-        if any(exps[k] < exps[k + 1] for k in range(n - 1)):
-            raise ArithmeticError(f"leading exponent {exps!r} is not sorted")
-        lam = tuple(p for p in exps if p)
-        c = rem.terms[exps]
-        out[lam] = c
-        rem = rem - schur_to_poly(lam, n) * c
-    return SchurVector(n, out)
-
-
 @lru_cache(maxsize=8192)
 def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
     """s_lam * s_mu in n variables as {nu: Littlewood-Richardson coefficient}
@@ -132,8 +56,8 @@ def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
     the reading word (rows top to bottom, each right to left) is a lattice
     word.  No shape grows past n rows: that truncates the stable product to
     n variables, where s_nu = 0 for len(nu) > n.  The monomial expansion
-    (`schur_to_poly`, `poly_to_schur`) is the oracle the tests check this
-    against."""
+    (`polyring.schur_to_poly`, `polyring.poly_to_schur`) is the oracle the
+    tests check this against."""
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
     if not mu:
@@ -205,13 +129,6 @@ def elementary_schur(i: int, n: int) -> SchurVector:
     if i < 0 or i > n:
         raise ValueError(f"e_{i} undefined in {n} variables")
     return SchurVector(n, {(1,) * i: 1})
-
-
-def homogeneous_schur(i: int, n: int) -> SchurVector:
-    """h_i = s_(i)."""
-    if i < 0:
-        raise ValueError("need i >= 0")
-    return SchurVector(n, {((i,) if i else ()): 1})
 
 
 @lru_cache(maxsize=128)

@@ -23,9 +23,11 @@ from .combinatorics import (
 )
 from .polyring import (
     Poly,
+    poly_to_schur,
     power_sum_poly,
     rho1_apply,
     rho2_apply,
+    schur_to_poly,
     sigma_slice,
     z_generator_poly,
 )
@@ -45,8 +47,6 @@ from .symfunc import (
     SchurVector,
     elementary_schur,
     power_sum_schur,
-    poly_to_schur,
-    schur_to_poly,
     z_generator_schur,
     z_monomial_schur,
 )
@@ -508,15 +508,14 @@ SUITES = {
     "tables": suite_tables,
     "kerov": suite_kerov,
 }
-SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str) -> list[Check]:
     if name == "all":
         out = []
-        for suite in SUITE_NAMES:
-            out.extend(SUITES[suite]())
+        for suite in SUITES.values():
+            out.extend(suite())
         return out
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
     return SUITES[name]()

@@ -172,10 +172,13 @@ def test_format_terms():
     ["kernel", "--rep", "rho2", "--n", "-1", "--d", "2"],
     ["act", "--rep", "kerov", "--op", "U", "--n", "-1", "--z", "0", "--zprime", "0",
      "--expr", "y[1]"],
+    ["verify", "--suite", "nope"],
 ])
 def test_out_of_domain_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out and err.startswith("error: ")
+    if argv[0] == "verify":
+        assert "kerov" in err and "all" in err
 
 
 def test_empty_box_stays_valid(capsys):

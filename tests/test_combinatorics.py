@@ -7,10 +7,10 @@ from sl2sym.combinatorics import (
     alpha_tuples,
     check_partition,
     content,
-    count_lw_solutions,
     count_partitions_in_rectangle,
     gamma,
     gaussian_binomial,
+    lw_counts,
     partitions,
     remove_cell,
     removable_corners,
@@ -133,21 +133,21 @@ def test_sylvester_cayley_dimension_identity():
 
 
 def test_count_lw_solutions():
-    assert count_lw_solutions(3, 6) == 2
-    assert count_lw_solutions(3, 1) == 0
+    assert lw_counts(3, 6)[6] == 2
+    assert lw_counts(3, 1)[1] == 0
     for n in range(2, 7):
-        assert count_lw_solutions(n, 0) == 1
+        assert lw_counts(n, 0) == [1]
     # brute-force oracle: enumerate exponent tuples directly
     for n in range(2, 6):
         for i in range(13):
             brute = sum(
                 1 for alpha in alpha_tuples(n, i) if alpha_degree(alpha) == i
             )
-            assert count_lw_solutions(n, i) == brute
+            assert lw_counts(n, i)[i] == brute
 
 
 def test_count_lw_recurrence():
-    seq = [count_lw_solutions(3, i) for i in range(31)]
+    seq = lw_counts(3, 30)
     assert seq[:5] == [1, 0, 1, 1, 1]
     for i in range(5, 31):
         assert seq[i] == seq[i - 2] + seq[i - 3] - seq[i - 5]

@@ -89,6 +89,13 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse("1/0")
 
+    # at the end of the input the message names it, at the same position
+    for text, position in (("", 1), ("s[1", 4)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert "end of input" in str(exc.value) and "None" not in str(exc.value)
+        assert exc.value.position == position
+
 
 @given(expressions())
 @settings(max_examples=200, deadline=None)

@@ -1,0 +1,83 @@
+"""The boundary between the engine and its reference oracles: no engine
+module imports the monomial world (`polyring`) or the verification suites
+(`verify`) when it is imported, and the CLI loads `verify` only for the
+`verify` command."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENGINE = ("vector", "combinatorics", "symfunc", "sl2_actions", "young", "exprlang", "cli")
+ORACLES = {"sl2sym.polyring", "sl2sym.verify"}
+
+
+def import_time_imports(source: str) -> set:
+    """The sl2sym modules that a module with this source names in an
+    import statement that runs when it is imported: every one outside a
+    function body."""
+    stack = list(ast.parse(source).body)
+    found = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            name = ".".join(filter(None, ("sl2sym" if node.level else "", node.module)))
+            if name == "sl2sym":
+                found.update(f"sl2sym.{alias.name}" for alias in node.names)
+            else:
+                found.add(name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_scanner_sees_every_import_form():
+    source = (
+        "from . import verify as v\n"
+        "from .polyring import Poly\n"
+        "import sl2sym.young\n"
+        "from sl2sym import exprlang\n"
+        "if True:\n"
+        "    from sl2sym.vector import box_operator\n"
+        "def f():\n"
+        "    from .combinatorics import content\n"
+    )
+    assert import_time_imports(source) == {
+        "sl2sym.verify", "sl2sym.polyring", "sl2sym.young", "sl2sym.exprlang", "sl2sym.vector",
+    }
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_engine_module_imports_no_oracle(module):
+    source = (SRC / "sl2sym" / f"{module}.py").read_text()
+    assert not import_time_imports(source) & ORACLES
+
+
+RUNTIME_CHECK = """
+import json, sys
+from sl2sym.cli import main
+codes = [main(["act", "--rep", "rho1", "--op", "lower", "--n", "3", "--expr", "s[2,1]"]),
+         main(["decompose", "--n", "3", "--d", "2"])]
+before = "sl2sym.verify" in sys.modules
+codes.append(main(["verify", "--suite", "identities"]))
+print(json.dumps([codes, before, "sl2sym.verify" in sys.modules]), file=sys.stderr)
+"""
+
+
+def test_cli_loads_verify_only_for_verify():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", RUNTIME_CHECK],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stderr.splitlines()[-1]) == [[0, 0, 0], False, True]

@@ -23,7 +23,7 @@ from sl2sym.combinatorics import (
     remove_cell,
     removable_corners,
 )
-from sl2sym.polyring import Poly
+from sl2sym.polyring import Poly, poly_to_schur, schur_to_poly
 from sl2sym.sl2_actions import (
     act_rho1,
     act_rho2,
@@ -33,7 +33,7 @@ from sl2sym.sl2_actions import (
     rho1_constants,
     rho2_constants,
 )
-from sl2sym.symfunc import SchurVector, multiply, poly_to_schur, schur_to_poly
+from sl2sym.symfunc import SchurVector, multiply
 from sl2sym.vector import box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,

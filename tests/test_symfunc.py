@@ -4,18 +4,20 @@ from math import comb
 import pytest
 
 from sl2sym.combinatorics import partitions
-from sl2sym.polyring import Poly, power_sum_poly
-from sl2sym.symfunc import (
-    SchurVector,
+from sl2sym.polyring import (
+    Poly,
     alternant,
-    elementary_schur,
-    homogeneous_schur,
-    multiply,
-    pieri_e1,
     poly_to_schur,
-    power_sum_schur,
+    power_sum_poly,
     schur_to_poly,
     staircase,
+)
+from sl2sym.symfunc import (
+    SchurVector,
+    elementary_schur,
+    multiply,
+    pieri_e1,
+    power_sum_schur,
     z_generator_schur,
     z_monomial_schur,
 )
@@ -143,7 +145,6 @@ def test_power_sum_schur():
 def test_named_schur_families():
     assert elementary_schur(2, 4) == sv(4, {(1, 1): 1})
     assert elementary_schur(0, 2) == SchurVector.unit(2)
-    assert homogeneous_schur(3, 2) == sv(2, {(3,): 1})
     with pytest.raises(ValueError):
         elementary_schur(3, 2)
 
