@@ -64,6 +64,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}: {exc}")
 
 
+def _refuse_flags(args, rep, flags):
+    """Refuse each of `flags` that was given, since representation `rep`
+    does not read it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise CliError(f"{flag} does not apply to representation {rep!r}")
+
+
 def _cmd_act(args) -> str:
     rep = args.rep
     op = args.op
@@ -73,6 +81,10 @@ def _cmd_act(args) -> str:
         raise CliError(f"--d is required for representation {rep!r}")
     if rep == "kerov" and (args.z is None or args.zprime is None):
         raise CliError("--z and --zprime are required for the Kerov operators")
+    unused = [] if rep in ("rho2", "tilde") else ["--d"]
+    if rep != "kerov":
+        unused += ["--z", "--zprime"]
+    _refuse_flags(args, rep, unused)
     if args.n < 0:
         raise CliError(f"--n must be >= 0, got {args.n}")
 
@@ -112,6 +124,7 @@ def _cmd_act(args) -> str:
 
 
 def _cmd_kernel(args) -> str:
+    _refuse_flags(args, args.rep, ["--max-degree"] if args.rep == "rho2" else ["--d"])
     if args.rep == "rho2":
         if args.d is None:
             raise CliError("--d is required for the second representation")
@@ -119,7 +132,8 @@ def _cmd_kernel(args) -> str:
     else:
         if args.n < 2:
             raise CliError("the infinite kernel needs n >= 2")
-        vectors = lowest_weight_basis_rho1(args.n, args.max_degree)
+        max_degree = 6 if args.max_degree is None else args.max_degree
+        vectors = lowest_weight_basis_rho1(args.n, max_degree)
 
     if not args.json:
         lines = [f"weight {weight}: {format_terms(vec.sorted_terms(), 's')}" for vec, weight in vectors]
@@ -131,7 +145,7 @@ def _cmd_kernel(args) -> str:
     if args.rep == "rho2":
         inputs["d"] = args.d
     else:
-        inputs["max_degree"] = args.max_degree
+        inputs["max_degree"] = max_degree
     return json.dumps({"command": "kernel", "inputs": inputs, "vectors": json_vectors})
 
 
@@ -207,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--rep", required=True, choices=("rho1", "rho2"))
     kernel.add_argument("--n", required=True, type=int)
     kernel.add_argument("--d", type=int)
-    kernel.add_argument("--max-degree", type=int, default=6)
+    kernel.add_argument("--max-degree", type=int)
     kernel.add_argument("--json", action="store_true")
 
     dec = sub.add_parser("decompose", help="irreducible multiplicity table")

@@ -22,21 +22,31 @@ class LowestWeightVector(NamedTuple):
     weight: int
 
 
+def kerov_constants(z, zprime) -> dict:
+    """Box-operator constants of Kerov's operators on diagrams: U adds a box
+    with weight z + content, D removes one with weight z' + content, and L
+    is diagonal with eigenvalue z*z' + 2|lam|."""
+    return {"U": ("add", z, 1), "L": ("diagonal", z * zprime, 2), "D": ("remove", zprime, 1)}
+
+
 def rho1_constants(n: int) -> dict:
-    """Box-operator constants of the first action on Schur vectors:
-    lower s = -sum over removable cells of (n + content) s',
-    cartan s = 2|lam| s, raise s = sum over addable cells of content * s'."""
-    return {"lower": ("remove", -n, -1), "cartan": ("diagonal", 0, 2), "raise": ("add", 0, 1)}
+    """Box-operator constants of the first action on Schur vectors: Kerov's
+    (U, -D, L) at (z, z') = (0, n), cut to n rows."""
+    kerov = kerov_constants(0, n)
+    part, a, b = kerov["D"]
+    return {"lower": (part, -a, -b), "cartan": kerov["L"], "raise": kerov["U"]}
 
 
 def rho2_constants(n: int, d: int) -> dict:
     """Box-operator constants of the second action with column bound d:
-    lower s = +sum (n + content) s', cartan s = (2|lam| - n*d) s,
-    raise s = sum (d - content) s'.  The corner in column d+1 has content d,
-    so the column bound is preserved automatically."""
+    Kerov's (-U, D, L) at (z, z') = (-d, n), cut to n rows.  Raising has
+    weight d - content, 0 at the corner in column d+1, so the column bound
+    is preserved."""
     if n < 0 or d < 0:
         raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
-    return {"lower": ("remove", n, 1), "cartan": ("diagonal", -n * d, 2), "raise": ("add", d, -1)}
+    kerov = kerov_constants(-d, n)
+    part, a, b = kerov["U"]
+    return {"lower": kerov["D"], "cartan": kerov["L"], "raise": (part, -a, -b)}
 
 
 def act_rho1(op: str, v: SchurVector) -> SchurVector:

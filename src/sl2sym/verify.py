@@ -1,14 +1,16 @@
 """Verification suites behind `sl2sym verify`: exhaustive exact checks of
 the operator commutation relations, the Schur-basis actions against the
 differential operators, the kernels and decompositions, the combinatorial
-identities, and the diagram transport, all at desk scale."""
+identities, the diagram transport, and the closed forms of the Kerov
+operators and of both actions at their Kerov parameter points, all at desk
+scale."""
 
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
-from math import comb
+from math import comb, factorial
 
 from .combinatorics import (
     add_cell,
@@ -500,6 +502,117 @@ def suite_kerov():
     ]
 
 
+# --------------------------------------------------------------- closed-forms
+
+
+def standard_tableaux(lam) -> int:
+    """f^lam, the number of standard tableaux of shape lam, by the hook
+    length formula."""
+    cols = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+    hooks = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            hooks *= p - j + cols[j] - i - 1
+    return factorial(sum(lam)) // hooks
+
+
+def content_product(x, lam):
+    """(x)_lam, the product of x + content over the cells of lam."""
+    out = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            out *= x + j - i
+    return out
+
+
+def _kerov_coefficients(params, max_size):
+    """For every diagram lam with 1 <= |lam| <= max_size, computed by
+    kerov_apply: (lam, coefficient of lam in U^|lam|(empty), coefficient of
+    empty in D^|lam|(lam))."""
+    out = []
+    up = DiagramVector.unit()
+    for m in range(1, max_size + 1):
+        up = kerov_apply("U", up, params)
+        for lam in partitions(m):
+            down = DiagramVector.basis(lam)
+            for _ in range(m):
+                down = kerov_apply("D", down, params)
+            out.append((lam, up.terms.get(lam, 0), down.terms.get((), 0)))
+    return out
+
+
+def _rho2_raising_failures(n, d):
+    """Per m = 1..nd+1, whether raise^m(s[]) in the n x d box misses the
+    sum of f^lam prod(d - content) s_lam over its partitions of m.  After
+    the first miss the higher powers, which may leave the box, count as
+    misses without being computed."""
+    v = SchurVector.unit(n)
+    for m in range(1, n * d + 2):
+        v = act_rho2("raise", v, d)
+        if v != SchurVector(n, {
+            lam: (-1) ** m * standard_tableaux(lam) * content_product(-d, lam)
+            for lam in partitions(m, n, d)
+        }):
+            yield from [True] * (n * d + 2 - m)
+            return
+        yield False
+
+
+def _rho1_lowering_fails(n, lam):
+    m = sum(lam)
+    v = SchurVector.basis(n, lam)
+    for _ in range(m):
+        v = act_rho1("lower", v)
+    return v != (-1) ** m * standard_tableaux(lam) * content_product(n, lam) * SchurVector.unit(n)
+
+
+def suite_closed_forms():
+    # off the integers, so no factor z + content or z' + content vanishes
+    rng = random.Random(2005)
+    pairs = [
+        KerovParams(*(rng.randint(-9, 8) + Fraction(rng.randint(1, 8), 9) for _ in range(2)))
+        for _ in range(3)
+    ]
+    cases = [(params, *case) for params in pairs for case in _kerov_coefficients(params, 10)]
+    sizes = Counter()
+    for (z, zprime), lam, up, down in cases:
+        sizes[z, zprime, sum(lam)] += up * down
+    return [
+        _tally("closed-forms",
+               "Kerov U^m(empty) has coefficients f^lam (z)_lam (m<=10, 3 rational parameter pairs)",
+               "diagrams", (
+                   up != standard_tableaux(lam) * content_product(params.z, lam)
+                   for params, lam, up, _ in cases
+               )),
+        _tally("closed-forms",
+               "Kerov D^m(lam) is f^lam (z')_lam times empty (m<=10, 3 rational parameter pairs)",
+               "diagrams", (
+                   down != standard_tableaux(lam) * content_product(params.zprime, lam)
+                   for params, lam, _, down in cases
+               )),
+        _tally("closed-forms",
+               "z-measure sums to 1: sum over |lam|=m of the coefficient products is m! (zz')_m "
+               "(m<=10, 3 rational parameter pairs)",
+               "sizes", (
+                   total != factorial(m) * content_product(z * zprime, (m,))
+                   for (z, zprime, m), total in sizes.items()
+               )),
+        _tally("closed-forms",
+               "second action raise^m(s[]) is the sum of f^lam prod(d - content) s_lam "
+               "over the n x d box (m<=nd+1, n,d<=4)",
+               "powers", (
+                   failed for n in range(1, 5) for d in range(1, 5)
+                   for failed in _rho2_raising_failures(n, d)
+               )),
+        _tally("closed-forms",
+               "first action lower^|lam|(s_lam) is (-1)^|lam| f^lam (n)_lam s[] (|lam|<=8, n<=8)",
+               "partitions", (
+                   _rho1_lowering_fails(n, lam)
+                   for n in range(1, 9) for m in range(1, 9) for lam in partitions(m, n)
+               )),
+    ]
+
+
 SUITES = {
     "commutators": suite_commutators,
     "schur-action": suite_schur_action,
@@ -507,6 +620,7 @@ SUITES = {
     "identities": suite_identities,
     "tables": suite_tables,
     "kerov": suite_kerov,
+    "closed-forms": suite_closed_forms,
 }
 
 

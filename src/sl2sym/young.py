@@ -14,7 +14,7 @@ from .combinatorics import (
     remove_cell,
     removable_corners,
 )
-from .sl2_actions import act_rho1, act_rho2
+from .sl2_actions import act_rho1, act_rho2, kerov_constants
 from .symfunc import SchurVector, power_sum_schur, z_generator_schur
 from .vector import SparseVector, box_operator, op_constants
 
@@ -100,29 +100,21 @@ def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
 
 
 def hat_apply(op: str, v: DiagramVector, n: int) -> DiagramVector:
-    """Transported first action on diagrams with at most n rows, that is
-    act_rho1 relabelled through phi:
-    lower = -(n xi_minus + nabla_minus), cartan = 2|lam| lam, raise = nabla_plus."""
+    """Transported first action on diagrams with at most n rows: rho1
+    relabelled through phi."""
     return phi_inverse(act_rho1(op, _schur_rows(v, n)))
 
 
 def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
-    """Transported second action on diagrams in the n x d box, that is
-    act_rho2 relabelled through phi:
-    lower = n xi_minus + nabla_minus (the lowering direction is opposite to
-    the first action), cartan = (2|lam| - n*d) lam, raise adds a box with
-    weight d - content (so column d+1 drops out)."""
+    """Transported second action on diagrams in the n x d box: rho2
+    relabelled through phi."""
     return phi_inverse(act_rho2(op, _schur_rows(v, n), d))
 
 
 def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector:
-    """Kerov operators on unbounded diagrams:
-    U adds a box with weight z + content, D removes one with weight
-    z' + content, L is diagonal with eigenvalue z*z' + 2|lam|.
+    """Kerov operators U, L, D on unbounded diagrams (see kerov_constants).
     Application is exact for any finite vector."""
-    z = Fraction(params.z)
-    zp = Fraction(params.zprime)
-    table = {"U": ("add", z, 1), "L": ("diagonal", z * zp, 2), "D": ("remove", zp, 1)}
+    table = kerov_constants(Fraction(params.z), Fraction(params.zprime))
     return box_operator(v, op_constants(table, op), None)
 
 

@@ -11,6 +11,7 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from sl2sym import verify as verify_mod
@@ -164,6 +165,30 @@ def test_wrong_raising_constant_fails_exactly_the_dependent_checks(monkeypatch):
         "kerov/transport intertwines the first action (|lam|<=6, n<=4)":
             "219 comparisons, 73 failures",
     }
+
+
+@pytest.mark.parametrize("op, index", [(op, i) for op in "ULD" for i in (1, 2)],
+                         ids=[f"{op}.{ab}" for op in "ULD" for ab in "ab"])
+def test_each_kerov_constant_is_pinned(monkeypatch, op, index):
+    """Adding 1 to any one of the six numbers of the Kerov table, a or b of
+    U, L or D, fails a kerov check; for U and D a closed-form check fails
+    too.  rho1, rho2, hat and tilde all read the table."""
+    from sl2sym import sl2_actions, young
+
+    correct = sl2_actions.kerov_constants
+
+    def perturbed(z, zprime):
+        table = correct(z, zprime)
+        entry = list(table[op])
+        entry[index] += 1
+        return {**table, op: tuple(entry)}
+
+    monkeypatch.setattr(sl2_actions, "kerov_constants", perturbed)
+    monkeypatch.setattr(young, "kerov_constants", perturbed)
+    checks = verify_mod.suite_kerov() + verify_mod.suite_closed_forms()
+    failed = {c.suite for c in checks if not c.ok}
+    assert "kerov" in failed
+    assert ("closed-forms" in failed) == (op != "L")
 
 
 CLI_EXAMPLES = [

@@ -71,6 +71,12 @@ def test_act_flag_validation(capsys):
     assert code == 2 and "not valid" in err
 
     code, _, err = run_cli(
+        capsys, "act", "--rep", "rho1", "--op", "raise", "--n", "2", "--d", "3",
+        "--expr", "s[1]", "--json",
+    )
+    assert code == 2 and err == "error: --d does not apply to representation 'rho1'\n"
+
+    code, _, err = run_cli(
         capsys, "act", "--rep", "rho1", "--op", "lower", "--n", "2",
         "--expr", "s[1,2]",
     )
@@ -142,8 +148,15 @@ def test_kernel_commands(capsys):
     doc = json.loads(out)
     assert [v["weight"] for v in doc["vectors"]] == [0, 4, 8]
 
+    code, out, _ = run_cli(capsys, "kernel", "--rep", "rho1", "--n", "2", "--json")
+    assert json.loads(out)["inputs"]["max_degree"] == 6
+
     code, _, err = run_cli(capsys, "kernel", "--rep", "rho2", "--n", "2")
     assert code == 2 and "--d" in err
+
+    code, _, err = run_cli(capsys, "kernel", "--rep", "rho2", "--n", "2", "--d", "2",
+                           "--max-degree", "9")
+    assert code == 2 and err == "error: --max-degree does not apply to representation 'rho2'\n"
 
 
 def test_verify_suite(capsys):
@@ -173,6 +186,14 @@ def test_format_terms():
     ["act", "--rep", "kerov", "--op", "U", "--n", "-1", "--z", "0", "--zprime", "0",
      "--expr", "y[1]"],
     ["verify", "--suite", "nope"],
+    ["act", "--rep", "rho1", "--op", "raise", "--n", "2", "--d", "3", "--expr", "s[1]", "--json"],
+    ["act", "--rep", "hat", "--op", "raise", "--n", "2", "--z", "1", "--expr", "y[1]"],
+    ["act", "--rep", "tilde", "--op", "raise", "--n", "2", "--d", "2", "--zprime", "1",
+     "--expr", "y[1]"],
+    ["act", "--rep", "kerov", "--op", "U", "--n", "2", "--d", "2", "--z", "0", "--zprime", "0",
+     "--expr", "y[1]"],
+    ["kernel", "--rep", "rho1", "--n", "3", "--d", "2"],
+    ["kernel", "--rep", "rho2", "--n", "3", "--d", "2", "--max-degree", "9"],
 ])
 def test_out_of_domain_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -6,7 +6,9 @@ integer box operator against its Fraction-by-Fraction sum over the
 one-partition spec `box_image` (values and term order), and the
 canonical coefficients (int when integral) of every closed operation.
 Also the exact sparse kernel against sympy's on random sparse rational
-matrices, and the dimension identity of one large finite decomposition."""
+matrices, the dimension identity of one large finite decomposition, the
+closed forms of Kerov's U^m and D^m, and both actions as Kerov operators
+at their parameter points, cut to n rows."""
 
 from fractions import Fraction
 from math import comb
@@ -29,11 +31,13 @@ from sl2sym.sl2_actions import (
     act_rho2,
     character_finite,
     decompose_finite,
+    kerov_constants,
     rational_nullspace,
     rho1_constants,
     rho2_constants,
 )
 from sl2sym.symfunc import SchurVector, multiply
+from sl2sym.verify import content_product, standard_tableaux
 from sl2sym.vector import box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
@@ -62,6 +66,13 @@ def sparse_terms(draw):
     return n, d, {lam: draw(rationals) for lam in keys}
 
 
+# each action's (Kerov operator, sign) per sl2 operator
+KEROV_POINTS = {
+    "rho1": {"raise": ("U", 1), "lower": ("D", -1), "cartan": ("L", 1)},
+    "rho2": {"raise": ("U", -1), "lower": ("D", 1), "cartan": ("L", 1)},
+}
+
+
 def representation(rep, n, d, params):
     """(vector, apply_op) with operators named raise, lower, cartan; the
     Kerov operators U, -D, L satisfy the same relations."""
@@ -73,7 +84,7 @@ def representation(rep, n, d, params):
         return DiagramVector, lambda op, v: hat_apply(op, v, n)
     if rep == "tilde":
         return DiagramVector, lambda op, v: tilde_apply(op, v, n, d)
-    kerov = {"raise": ("U", 1), "lower": ("D", -1), "cartan": ("L", 1)}
+    kerov = KEROV_POINTS["rho1"]
     return DiagramVector, lambda op, v: kerov[op][1] * kerov_apply(kerov[op][0], v, params)
 
 
@@ -91,6 +102,46 @@ def test_bracket_relations(rep, data, z, zprime, fallback_d):
     assert r(l(v)) - l(r(v)) == h(v)
     assert h(r(v)) - r(h(v)) == 2 * r(v)
     assert h(l(v)) - l(h(v)) == -2 * l(v)
+
+
+@given(z=rationals, zprime=rationals, m=st.integers(0, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kerov_powers_equal_closed_forms(z, zprime, m, data):
+    """U^m(empty) is the sum of f^lam (z)_lam lam over |lam| = m, and
+    D^m(lam) is f^lam (z')_lam empty."""
+    params = KerovParams(z, zprime)
+    shapes = list(partitions(m))
+    lam = data.draw(st.sampled_from(shapes))
+    up, down = DiagramVector.unit(), DiagramVector.basis(lam)
+    for _ in range(m):
+        up, down = kerov_apply("U", up, params), kerov_apply("D", down, params)
+    assert up == DiagramVector(None, {
+        mu: standard_tableaux(mu) * content_product(z, mu) for mu in shapes
+    })
+    assert down == DiagramVector(None, {(): standard_tableaux(lam) * content_product(zprime, lam)})
+
+
+@given(data=sparse_terms(), tall=sparse_terms(), op=st.sampled_from(["lower", "cartan", "raise"]),
+       fallback_d=st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_actions_are_truncated_kerov_operators(data, tall, op, fallback_d):
+    """rho1 is Kerov's (U, -D, L) at (0, n) and rho2 is (-U, D, L) at
+    (-d, n), with the diagrams of more than n rows dropped.  Those span a
+    submodule (D's weight n + content is 0 on the cell (n+1, 1)), so adding
+    such diagrams to the input changes nothing."""
+    n, d, terms = data
+    d = fallback_d if d is None else d
+    boxed = {lam: c for lam, c in terms.items() if not lam or lam[0] <= d}
+    tall = {lam: c for lam, c in tall[2].items() if len(lam) > n}
+
+    def truncated(rep, params, terms):
+        name, sign = KEROV_POINTS[rep][op]
+        image = sign * kerov_apply(name, DiagramVector(None, {**terms, **tall}), params)
+        return {mu: c for mu, c in image.terms.items() if len(mu) <= n}
+
+    assert act_rho1(op, SchurVector(n, terms)).terms == truncated("rho1", KerovParams(0, n), terms)
+    assert act_rho2(op, SchurVector(n, boxed), d).terms == truncated(
+        "rho2", KerovParams(-d, n), boxed)
 
 
 @given(data=sparse_terms(), op=st.sampled_from(["lower", "cartan", "raise"]))
@@ -201,7 +252,7 @@ def test_closed_operations_keep_coefficients_canonical(data, other, z, zprime, k
     bounded = DiagramVector(n, terms)
     free = DiagramVector(None, terms)
     boxed = DiagramVector(n, {lam: c for lam, c in terms.items() if not lam or lam[0] <= d})
-    kerov = {"U": ("add", z, 1), "L": ("diagonal", z * zprime, 2), "D": ("remove", zprime, 1)}
+    kerov = kerov_constants(z, zprime)
     tables = [*rho1_constants(n).values(), *rho2_constants(n, d).values(), *kerov.values()]
     results = [u, w, f, bounded, u + w, u - w, -u, u * k, k * u, u * q, small ** 2, small ** 0,
                f * g, f ** 2, multiply(small, small), phi(bounded), phi_inverse(u)]
