@@ -1,13 +1,12 @@
-"""Partitions, diagram cells, and the counting formulas behind the sl2
-decompositions: rectangle-bounded partition counts, Gaussian binomial
-coefficients, and the Cayley-Sylvester multiplicity formula."""
+"""Partitions and the counting formulas behind the sl2 decompositions:
+rectangle-bounded partition counts, Gaussian binomial coefficients, and
+the Cayley-Sylvester multiplicity formula."""
 
 from functools import cache, lru_cache
 from itertools import accumulate
 from operator import sub
 
 Partition = tuple[int, ...]
-Cell = tuple[int, int]
 
 
 def check_partition(parts) -> Partition:
@@ -19,55 +18,6 @@ def check_partition(parts) -> Partition:
         if k and lam[k - 1] < p:
             raise ValueError(f"partition must be weakly decreasing: {lam!r}")
     return lam
-
-
-def content(cell: Cell) -> int:
-    """Content j - i of the cell (i, j) (rows and columns are 1-based)."""
-    i, j = cell
-    return j - i
-
-
-def addable_corners(lam: Partition, row_bound: int) -> list[Cell]:
-    """Cells that can be added to `lam` keeping a partition with at most
-    `row_bound` rows, listed top to bottom."""
-    if len(lam) > row_bound:
-        raise ValueError(f"{lam!r} already has more than {row_bound} rows")
-    corners = []
-    for i in range(1, len(lam) + 1):
-        if i == 1 or lam[i - 2] > lam[i - 1]:
-            corners.append((i, lam[i - 1] + 1))
-    if len(lam) < row_bound:
-        corners.append((len(lam) + 1, 1))
-    return corners
-
-
-def removable_corners(lam: Partition) -> list[Cell]:
-    """Cells whose removal leaves a partition, listed top to bottom."""
-    corners = []
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or lam[i] < lam[i - 1]:
-            corners.append((i, lam[i - 1]))
-    return corners
-
-
-def add_cell(lam: Partition, cell: Cell) -> Partition:
-    i, j = cell
-    if i == len(lam) + 1:
-        if j != 1:
-            raise ValueError(f"cannot add {cell!r} to {lam!r}")
-        return lam + (1,)
-    if i < 1 or i > len(lam) or lam[i - 1] + 1 != j:
-        raise ValueError(f"cannot add {cell!r} to {lam!r}")
-    return lam[: i - 1] + (j,) + lam[i:]
-
-
-def remove_cell(lam: Partition, cell: Cell) -> Partition:
-    i, j = cell
-    if i < 1 or i > len(lam) or lam[i - 1] != j:
-        raise ValueError(f"cannot remove {cell!r} from {lam!r}")
-    if j == 1:
-        return lam[: i - 1]
-    return lam[: i - 1] + (j - 1,) + lam[i:]
 
 
 def partitions(size: int, max_rows: int | None = None, max_part: int | None = None):
@@ -148,14 +98,15 @@ def gamma(a: int, n: int, i: int) -> int:
 def sylvester_cayley(n: int, d: int, i: int) -> int:
     """Multiplicity of the highest weight i in the n-th symmetric power of
     the standard (d+1)-dimensional module, as a difference of Gaussian
-    binomial coefficients.  Zero when d*n - i is odd or negative."""
+    binomial coefficients.  Zero when i is negative (no highest weight is)
+    or when d*n - i is odd or negative."""
     if n < 0 or d < 0:
         raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
-    if n == 0:
-        return 1 if i == 0 else 0
     t = d * n - i
-    if t < 0 or t % 2:
+    if i < 0 or t < 0 or t % 2:
         return 0
+    if n == 0:
+        return 1
     half = t // 2
     return gamma(d + n, n, half) - gamma(d + n, n, half - 1)
 

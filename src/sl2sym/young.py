@@ -6,14 +6,7 @@ the Schur basis."""
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import (
-    add_cell,
-    addable_corners,
-    check_partition,
-    content,
-    remove_cell,
-    removable_corners,
-)
+from .combinatorics import check_partition
 from .sl2_actions import act_rho1, act_rho2, kerov_constants
 from .symfunc import SchurVector, power_sum_schur, z_generator_schur
 from .vector import SparseVector, box_operator, op_constants
@@ -58,33 +51,17 @@ class DiagramVector(SparseVector):
 
 def xi_minus(lam) -> DiagramVector:
     """Unweighted sum over diagrams obtained by removing one box."""
-    lam = check_partition(lam)
-    return DiagramVector(
-        None, {remove_cell(lam, cell): 1 for cell in removable_corners(lam)}
-    )
+    return box_operator(DiagramVector.basis(lam), ("remove", 1, 0), None)
 
 
 def nabla(sign: str, lam, row_bound: int | None = None) -> DiagramVector:
-    """Content-weighted box sum: adding for '+', removing for '-'; adding
-    respects the row bound (None means unbounded)."""
-    lam = check_partition(lam)
-    out = {}
-    if sign == "+":
-        bound = row_bound if row_bound is not None else len(lam) + 1
-        if len(lam) > bound:
-            raise ValueError(f"{lam!r} has more than {bound} rows")
-        for cell in addable_corners(lam, bound):
-            w = content(cell)
-            if w:
-                out[add_cell(lam, cell)] = w
-    elif sign == "-":
-        for cell in removable_corners(lam):
-            w = content(cell)
-            if w:
-                out[remove_cell(lam, cell)] = w
-    else:
+    """Content-weighted box sum: adding for '+', removing for '-'; `lam`
+    and, when adding, its image keep within the row bound (None means
+    unbounded)."""
+    if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return DiagramVector(row_bound, out)
+    part = "add" if sign == "+" else "remove"
+    return box_operator(DiagramVector.basis(lam, row_bound), (part, 0, 1), row_bound)
 
 
 def _schur_rows(v: DiagramVector, n: int) -> SchurVector:

@@ -166,6 +166,22 @@ def test_verify_suite(capsys):
     assert "checks passed" in out
 
 
+def test_suite_that_raises_is_one_fail(capsys, monkeypatch):
+    """An operator that leaves its domain makes its suite one FAIL line
+    naming the exception, with exit 1, not an error with exit 2."""
+    from sl2sym import sl2_actions
+
+    correct = sl2_actions.rho2_constants
+    monkeypatch.setattr(sl2_actions, "rho2_constants",
+                        lambda n, d: {**correct(n, d), "raise": ("add", d, -2)})
+    code, out, err = run_cli(capsys, "verify", "--suite", "commutators")
+    assert code == 1 and not err
+    assert out.splitlines() == [
+        "FAIL commutators/suite raised: ValueError: partition (2,) violates the column bound 1",
+        "0/1 checks passed",
+    ]
+
+
 def test_format_terms():
     from fractions import Fraction
 

@@ -1,21 +1,18 @@
 import pytest
 
 from sl2sym.combinatorics import (
-    add_cell,
-    addable_corners,
     alpha_degree,
     alpha_tuples,
     check_partition,
-    content,
     count_partitions_in_rectangle,
     gamma,
     gaussian_binomial,
     lw_counts,
     partitions,
-    remove_cell,
-    removable_corners,
     sylvester_cayley,
 )
+from sl2sym.vector import box_operator
+from sl2sym.young import DiagramVector
 
 
 def test_check_partition():
@@ -26,34 +23,48 @@ def test_check_partition():
         check_partition((2, 0))
 
 
+def box(lam, part, a, b, row_bound=None):
+    """The box operator's image of the one diagram `lam`, as ordered
+    (diagram, weight) pairs.  With constants (1, 0) these are the corners
+    top to bottom; with (0, 1) the weight is the content j - i of the cell
+    (i, j), and a cell of content 0 leaves no term."""
+    return list(box_operator(DiagramVector.basis(lam), (part, a, b), row_bound).terms.items())
+
+
 def test_content():
-    assert content((1, 1)) == 0
-    assert content((1, 3)) == 2
-    assert content((3, 1)) == -2
+    assert box((), "add", 1, 0) == [((1,), 1)]
+    assert box((), "add", 0, 1) == []  # the cell (1, 1)
+    assert box((2,), "add", 0, 1) == [((3,), 2), ((2, 1), -1)]  # the cells (1, 3), (2, 1)
+    assert box((1, 1, 1), "remove", 0, 1) == [((1, 1), -2)]  # the cell (3, 1)
 
 
 def test_addable_corners():
-    assert addable_corners((2, 1), 3) == [(1, 3), (2, 2), (3, 1)]
-    assert [content(c) for c in addable_corners((2, 1), 3)] == [2, 0, -2]
-    assert addable_corners((), 3) == [(1, 1)]
-    assert addable_corners((2, 1), 2) == [(1, 3), (2, 2)]
-    with pytest.raises(ValueError):
-        addable_corners((2, 1, 1), 2)
+    assert box((2, 1), "add", 1, 0, 3) == [((3, 1), 1), ((2, 2), 1), ((2, 1, 1), 1)]
+    assert box((2, 1), "add", 0, 1, 3) == [((3, 1), 2), ((2, 1, 1), -2)]
+    assert box((), "add", 1, 0, 3) == [((1,), 1)]
+    assert box((2, 1), "add", 1, 0, 2) == [((3, 1), 1), ((2, 2), 1)]
+    with pytest.raises(ValueError, match="already has more than 2 rows"):
+        box((2, 1, 1), "add", 1, 0, 2)
 
 
 def test_removable_corners():
-    assert removable_corners((2, 1)) == [(1, 2), (2, 1)]
-    assert removable_corners(()) == []
-    assert removable_corners((3, 3, 1)) == [(2, 3), (3, 1)]
+    assert box((2, 1), "remove", 1, 0) == [((1, 1), 1), ((2,), 1)]
+    assert box((2, 1), "remove", 0, 1) == [((1, 1), 1), ((2,), -1)]
+    assert box((), "remove", 1, 0) == []
+    assert box((3, 3, 1), "remove", 1, 0) == [((3, 2, 1), 1), ((3, 3), 1)]
+    assert box((3, 3, 1), "remove", 0, 1) == [((3, 2, 1), 1), ((3, 3), -2)]
 
 
 def test_add_remove_roundtrip():
+    """mu is lam plus a box within 4 rows exactly when lam is mu less a box."""
     for m in range(7):
         for lam in partitions(m, 4):
-            for cell in addable_corners(lam, 4):
-                assert remove_cell(add_cell(lam, cell), cell) == lam
-            for cell in removable_corners(lam):
-                assert add_cell(remove_cell(lam, cell), cell) == lam
+            added = dict(box(lam, "add", 1, 0, 4))
+            assert set(added.values()) <= {1} and all(sum(mu) == m + 1 for mu in added)
+            for mu in added:
+                assert (lam, 1) in box(mu, "remove", 1, 0)
+            for mu, _ in box(lam, "remove", 1, 0):
+                assert (lam, 1) in box(mu, "add", 1, 0, 4)
 
 
 def test_partitions_generator():
@@ -116,6 +127,10 @@ def test_sylvester_cayley_examples():
     assert sylvester_cayley(2, 2, 2) == 0
     assert sylvester_cayley(2, 2, 0) == 1
     assert sylvester_cayley(0, 2, 0) == sylvester_cayley(2, 0, 0) == 1
+    # no highest weight is negative
+    assert sylvester_cayley(2, 2, -2) == sylvester_cayley(4, 4, -10) == 0
+    assert all(sylvester_cayley(n, d, i) == 0
+               for n in range(5) for d in range(5) for i in range(-n * d - 2, 0))
     for n, d, i in ((-1, 2, 0), (2, -1, 0), (2, -1, -4), (0, -1, 0)):
         with pytest.raises(ValueError, match=f"n={n}, d={d}"):
             sylvester_cayley(n, d, i)

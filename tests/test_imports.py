@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_scanner_sees_every_import_form():
         "if True:\n"
         "    from sl2sym.vector import box_operator\n"
         "def f():\n"
-        "    from .combinatorics import content\n"
+        "    from .combinatorics import partitions\n"
     )
     assert import_time_imports(source) == {
         "sl2sym.verify", "sl2sym.polyring", "sl2sym.young", "sl2sym.exprlang", "sl2sym.vector",
@@ -81,3 +82,18 @@ def test_cli_loads_verify_only_for_verify():
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stderr.splitlines()[-1]) == [[0, 0, 0], False, True]
+
+
+def test_all_lists_exactly_the_public_names():
+    """`__all__` names every public non-module name that `__init__` binds,
+    and each of them resolves."""
+    import sl2sym
+
+    bound = {
+        name for name, value in vars(sl2sym).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(sl2sym.__all__) == sorted(bound)
+    assert len(set(sl2sym.__all__)) == len(sl2sym.__all__)
+    for name in sl2sym.__all__:
+        assert getattr(sl2sym, name) is not None

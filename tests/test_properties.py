@@ -17,14 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from sl2sym.combinatorics import (
-    add_cell,
-    addable_corners,
-    content,
-    partitions,
-    remove_cell,
-    removable_corners,
-)
+from sl2sym.combinatorics import partitions
 from sl2sym.polyring import Poly, poly_to_schur, schur_to_poly
 from sl2sym.sl2_actions import (
     act_rho1,
@@ -44,9 +37,11 @@ from sl2sym.young import (
     KerovParams,
     hat_apply,
     kerov_apply,
+    nabla,
     phi,
     phi_inverse,
     tilde_apply,
+    xi_minus,
 )
 
 from test_vector import is_canonical
@@ -168,18 +163,31 @@ def basis_pairs(draw):
 
 def box_image(lam, constants, row_bound) -> list:
     """The specification of `box_operator` on the single partition `lam`,
-    as (partition, weight) pairs.  `constants` is (part, a, b):
+    as (partition, weight) pairs, walking the rows of `lam` and one empty
+    row below them, top to bottom.  `constants` is (part, a, b):
     - ("remove", a, b): every removable cell, weight a + b*content;
     - ("add", a, b): every cell addable within `row_bound` rows (None:
       unbounded), weight a + b*content;
-    - ("diagonal", a, b): lam itself, weight a + b*|lam|."""
+    - ("diagonal", a, b): lam itself, weight a + b*|lam|.
+    The cell in row i (from 1) and column j has content j - i."""
     part, a, b = constants
     if part == "diagonal":
         return [(lam, a + b * sum(lam))]
-    if part == "remove":
-        return [(remove_cell(lam, cell), a + b * content(cell)) for cell in removable_corners(lam)]
-    bound = len(lam) + 1 if row_bound is None else row_bound
-    return [(add_cell(lam, cell), a + b * content(cell)) for cell in addable_corners(lam, bound)]
+    rows = tuple(lam) + (0,)
+    images = []
+    for i, row in enumerate(rows, 1):
+        above = rows[i - 2] if i > 1 else None
+        below = rows[i] if i < len(rows) else 0
+        if part == "remove" and row > below:
+            j = row
+        elif part == "add" and (above is None or above > row) and (
+                row_bound is None or i <= row_bound):
+            j = row + 1
+        else:
+            continue
+        mu = rows[:i - 1] + (j if part == "add" else j - 1,) + rows[i:]
+        images.append((tuple(p for p in mu if p), a + b * (j - i)))
+    return images
 
 
 def box_operator_reference(v, constants, row_bound):
@@ -217,6 +225,14 @@ def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeff
     assert out.terms == reference
     assert list(out.terms) == list(reference)
     assert is_canonical(out)
+    # xi_minus and nabla are the box operator with constants (1, 0) and (0, 1)
+    for lam in terms:
+        basis = DiagramVector.basis(lam, row_bound)
+        for image, constants in ((xi_minus(lam), ("remove", 1, 0)),
+                                 (nabla("-", lam, row_bound), ("remove", 0, 1)),
+                                 (nabla("+", lam, row_bound), ("add", 0, 1))):
+            reference = box_operator_reference(basis, constants, row_bound)
+            assert list(image.terms.items()) == list(reference.items())
 
 
 def test_box_operator_empty_and_cancelling():

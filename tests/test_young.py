@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from sl2sym.combinatorics import add_cell, addable_corners, content, partitions
+from sl2sym.combinatorics import partitions
 from sl2sym.symfunc import SchurVector, power_sum_schur, z_generator_schur, z_monomial_schur
+from sl2sym.verify import _transported
 from sl2sym.vector import box_operator
 from sl2sym.young import (
     DiagramVector,
@@ -45,6 +46,10 @@ def test_nabla():
     assert nabla("-", (2, 1)).terms == {(1, 1): Fraction(1), (2,): Fraction(-1)}
     with pytest.raises(ValueError):
         nabla("*", (1,), 2)
+    # the input, not only the image, must keep within the row bound
+    for sign in "+-":
+        with pytest.raises(ValueError, match=r"diagram \(2, 2, 1\) has more than 2 rows"):
+            nabla(sign, (2, 2, 1), 2)
 
 
 def test_hat_apply_examples():
@@ -83,19 +88,10 @@ def test_hat_and_tilde_keep_their_input_checks():
 
 def transported(op, v, n, d=None):
     """The transported first action (d None) or second action as the paper
-    writes them: explicit box sums built from xi_minus and nabla, and for
-    the second raising, the addable cells weighted by d - content."""
+    writes them, extended linearly from verify's box sums on one diagram."""
     out = DiagramVector.zero()
     for lam, c in v.terms.items():
-        if op == "cartan":
-            image = dv({lam: 2 * sum(lam) - n * (d or 0)})
-        elif op == "lower":
-            image = (-1 if d is None else 1) * (n * xi_minus(lam) + nabla("-", lam))
-        elif d is None:
-            image = dv(nabla("+", lam, n).terms)
-        else:
-            image = dv({add_cell(lam, cell): d - content(cell) for cell in addable_corners(lam, n)})
-        out = out + c * image
+        out = out + c * dv(_transported(op, lam, n, d))
     return out.terms
 
 
