@@ -210,14 +210,16 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     """Basis of the lowering kernel inside the n x d box, computed per
     cartan-weight component as the exact kernel of the lowering images of
     its Schur basis elements.  The number of vectors of weight -i equals
-    the multiplicity of the (i+1)-dimensional irreducible."""
+    the multiplicity of the (i+1)-dimensional irreducible.  Only the
+    weights 2m - nd <= 0 are reduced: the box span is a finite-dimensional
+    sl2-module, in which lowering is injective on positive weights."""
     lower = rho2_constants(n, d)["lower"]
     out = []
-    for m in range(n * d + 1):
+    for m in range(n * d // 2 + 1):
         domain = list(partitions(m, n, d))
         images = [box_operator(SchurVector._wrap(n, {lam: 1}), lower, n).terms for lam in domain]
         for vec in rational_nullspace(images):
-            sv = SchurVector(n, {domain[j]: vec[j] for j in sorted(vec)})
+            sv = SchurVector._wrap(n, {domain[j]: vec[j] for j in sorted(vec)})
             out.append(LowestWeightVector(sv, 2 * m - n * d))
     return out
 

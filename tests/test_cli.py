@@ -159,6 +159,18 @@ def test_kernel_commands(capsys):
     assert code == 2 and err == "error: --max-degree does not apply to representation 'rho2'\n"
 
 
+def test_kernel_rho2_odd_box(capsys):
+    # n*d = 9 is odd: the highest weight reduced is 2*4 - 9 = -1, which has
+    # no kernel vector
+    code, out, err = run_cli(capsys, "kernel", "--rep", "rho2", "--n", "3", "--d", "3")
+    assert code == 0 and not err
+    assert out == (
+        "weight -9: s[]\n"
+        "weight -5: -1/2*s[2] + s[1,1]\n"
+        "weight -3: 1/10*s[3] - 1/4*s[2,1] + s[1,1,1]\n"
+    )
+
+
 def test_verify_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
     assert code == 0

@@ -15,6 +15,7 @@ from sl2sym.sl2_actions import (
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
     rational_nullspace,
+    rho2_constants,
     vd_realization,
     weight_of_alpha,
 )
@@ -24,6 +25,7 @@ from sl2sym.symfunc import (
     power_sum_schur,
     z_generator_schur,
 )
+from sl2sym.vector import box_operator
 from sl2sym.verify import peel_character
 
 
@@ -200,6 +202,36 @@ def test_lowest_weight_space_rho2_is_pinned(n, d, count, digest):
     text = repr([(weight, list(vec.terms.items())) for vec, weight in lw])
     assert len(lw) == count
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def lowering_images(n, d, m):
+    lower = rho2_constants(n, d)["lower"]
+    domain = list(partitions(m, n, d))
+    return domain, [box_operator(SchurVector.basis(n, lam), lower, n).terms for lam in domain]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(6) for d in range(6)] + [(3, 8), (4, 6)])
+def test_lowering_is_injective_on_positive_weights(n, d):
+    # the box span is a finite-dimensional sl2-module, so no lowest-weight
+    # vector has a positive weight 2m - nd: lowest_weight_space_rho2 skips
+    # these weights, and this is the fact that lets it
+    for m in range(n * d // 2 + 1, n * d + 1):
+        assert rational_nullspace(lowering_images(n, d, m)[1]) == []
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_lowest_weight_space_rho2_equals_all_weights_reference(n):
+    # the kernel at every weight 0..nd, each vector built by the checked
+    # constructor: the same vectors, weights, order and coefficient types
+    for d in range(6):
+        reference = []
+        for m in range(n * d + 1):
+            domain, images = lowering_images(n, d, m)
+            for vec in rational_nullspace(images):
+                sv = SchurVector(n, {domain[j]: vec[j] for j in sorted(vec)})
+                reference.append((2 * m - n * d, list(sv.terms.items())))
+        lw = lowest_weight_space_rho2(n, d)
+        assert repr([(weight, list(vec.terms.items())) for vec, weight in lw]) == repr(reference)
 
 
 def test_vd_realization():
