@@ -22,7 +22,10 @@ def check_partition(parts) -> Partition:
 
 def partitions(size: int, max_rows: int | None = None, max_part: int | None = None):
     """Yield the partitions of `size` with at most `max_rows` parts, each at
-    most `max_part`, in lexicographically decreasing order."""
+    most `max_part` (None: unbounded), in lexicographically decreasing order."""
+    for name, bound in (("max_rows", max_rows), ("max_part", max_part)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be >= 0, got {bound}")
     if max_rows is None:
         max_rows = size
     if max_part is None:
@@ -32,9 +35,9 @@ def partitions(size: int, max_rows: int | None = None, max_part: int | None = No
         if remaining == 0:
             yield ()
             return
-        if rows_left == 0:
-            return
         for first in range(min(cap, remaining), 0, -1):
+            if first * rows_left < remaining:
+                return  # rows_left parts of at most first cannot sum to remaining
             for rest in rec(remaining - first, rows_left - 1, first):
                 yield (first,) + rest
 

@@ -51,9 +51,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("nat", int(text[i:j]), i + 1))
             i = j
@@ -256,6 +256,9 @@ def _eval_schur(e, n: int, allow_diagram_atoms: bool) -> SchurVector:
         return -_eval_schur(e[1], n, allow_diagram_atoms)
     if kind == "pow":
         return _eval_schur(e[1], n, allow_diagram_atoms) ** e[2]
+    if kind == "mul" and "num" in (e[1][0], e[2][0]):
+        num, other = (e[1], e[2]) if e[1][0] == "num" else (e[2], e[1])
+        return num[1] * _eval_schur(other, n, allow_diagram_atoms)
     if kind in _BINARY:
         lhs, rhs = (_eval_schur(arg, n, allow_diagram_atoms) for arg in e[1:])
         return _BINARY[kind](lhs, rhs)

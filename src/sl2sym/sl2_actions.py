@@ -14,7 +14,7 @@ from .combinatorics import (
     partitions,
 )
 from .symfunc import SchurVector, elementary_schur, multiply, power_sum_schur, z_monomial_schur
-from .vector import box_operator, op_constants
+from .vector import _divided, box_operator, op_constants
 
 
 class LowestWeightVector(NamedTuple):
@@ -159,8 +159,8 @@ def decompose_finite(n: int, d: int) -> dict[int, int]:
 
 def rational_nullspace(images: list[dict]) -> list[dict]:
     """Kernel of the linear map sending basis element j to `images[j]`, a
-    sparse {key: coefficient} dict that is not changed.  Each image is
-    reduced in order against the pivots, the earlier images that are
+    sparse {key: canonical coefficient} dict that is not changed.  Each
+    image is reduced in order against the pivots, the earlier images that are
     independent, each kept reduced with the key it clears and the
     combination of images it is.  An image that reduces to zero yields the
     kernel vector {j: 1, p: -c_p}, the unique one supported on j and the
@@ -172,7 +172,8 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
     kernel = []
     for j, image in enumerate(images):
         m = lcm(*(c.denominator for c in image.values()))
-        v = {k: c.numerator * (m // c.denominator) for k, c in image.items()}
+        v = dict(image) if m == 1 else {k: c.numerator * (m // c.denominator)
+                                        for k, c in image.items()}
         combo = {j: m}
         for key, reduced, pivot_combo in pivots:
             f = v.get(key)
@@ -199,10 +200,7 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
                 {i: c // g for i, c in combo.items()},
             ))
         else:
-            den = combo[j]
-            kernel.append({
-                i: c // den if not c % den else Fraction(c, den) for i, c in combo.items() if c
-            })
+            kernel.append(_divided(combo, combo[j]))
     return kernel
 
 

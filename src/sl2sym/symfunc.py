@@ -4,10 +4,10 @@ elementary, kernel generators) as Schur vectors.  The monomial expansions
 that check them live in `polyring`."""
 
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .combinatorics import Partition, check_partition
-from .vector import SparseVector, box_operator
+from .vector import SparseVector, _divided, box_operator
 
 
 class SchurVector(SparseVector):
@@ -96,15 +96,25 @@ def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
 
 def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
     """Product in the Schur basis by the Littlewood-Richardson rule (see
-    `_basis_product`), truncated to the n rows of the operands."""
+    `_basis_product`), truncated to the n rows of the operands.  Sums run
+    over integers, each operand scaled by the lcm of its denominators."""
     u._same_ambient(v)
+    n = u.n
+    du = lcm(*[c.denominator for c in u.terms.values()])
+    dv = lcm(*[c.denominator for c in v.terms.values()])
+    u_terms = u.terms.items() if du == 1 else [
+        (lam, a.numerator * (du // a.denominator)) for lam, a in u.terms.items()]
+    v_terms = v.terms.items() if dv == 1 else [
+        (mu, b.numerator * (dv // b.denominator)) for mu, b in v.terms.items()]
     out = {}
-    for lam, a in u.terms.items():
-        for mu, b in v.terms.items():
-            key = (lam, mu) if lam <= mu else (mu, lam)
-            for nu, c in _basis_product(key[0], key[1], u.n).items():
-                out[nu] = out.get(nu, 0) + a * b * c
-    return SchurVector._closed(u.n, out)
+    get = out.get
+    for lam, a in u_terms:
+        for mu, b in v_terms:
+            ab = a * b
+            product = _basis_product(lam, mu, n) if lam <= mu else _basis_product(mu, lam, n)
+            for nu, c in product.items():
+                out[nu] = get(nu, 0) + ab * c
+    return SchurVector._wrap(n, _divided(out, du * dv))
 
 
 def pieri_e1(u: SchurVector) -> SchurVector:

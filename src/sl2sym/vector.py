@@ -25,6 +25,14 @@ def canonical_coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _divided(sums: dict, den: int) -> dict:
+    """Integer `sums` over one denominator `den` as canonical coefficients:
+    zeros dropped, an int where `den` divides a sum, else a reduced Fraction."""
+    if den == 1:
+        return {key: x for key, x in sums.items() if x}
+    return {key: x // den if not x % den else Fraction(x, den) for key, x in sums.items() if x}
+
+
 class SparseVector:
     """Finite rational linear combination of basis keys in a fixed ambient
     (a variable count or a row bound).  Subclasses define `_check_ambient`
@@ -97,7 +105,9 @@ class SparseVector:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._closed(self.ambient, {key: c * other for key, c in self.terms.items()})
+            m, p = lcm(*[c.denominator for c in self.terms.values()]), other.numerator
+            scaled = {key: c.numerator * (m // c.denominator) * p for key, c in self.terms.items()}
+            return self._wrap(self.ambient, _divided(scaled, m * other.denominator))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -176,9 +186,4 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
         if row_bound is None or rows < row_bound:
             mu = lam + (1,)
             out[mu] = get(mu, 0) + c * (a - b * rows)
-    den = k * m
-    if den == 1:
-        return v._wrap(row_bound, {mu: x for mu, x in out.items() if x})
-    return v._wrap(row_bound, {
-        mu: x // den if not x % den else Fraction(x, den) for mu, x in out.items() if x
-    })
+    return v._wrap(row_bound, _divided(out, k * m))

@@ -71,6 +71,22 @@ def test_partitions_generator():
     assert list(partitions(4, 2)) == [(4,), (3, 1), (2, 2)]
     assert list(partitions(0)) == [()]
     assert list(partitions(2, 2, 2)) == [(2,), (1, 1)]
+    # the bounds cut the unbounded enumeration, in the same order
+    for size in range(-2, 11):
+        for rows in (None, 0, 1, 2, 3, 5, 20):
+            for part in (None, 0, 1, 2, 3, 5, 20):
+                assert list(partitions(size, rows, part)) == [
+                    lam for lam in partitions(size)
+                    if (rows is None or len(lam) <= rows)
+                    and (part is None or not lam or lam[0] <= part)
+                ]
+
+
+def test_partitions_refuse_negative_bounds():
+    with pytest.raises(ValueError, match=r"^max_rows must be >= 0, got -1$"):
+        list(partitions(3, -1))
+    with pytest.raises(ValueError, match=r"^max_part must be >= 0, got -1$"):
+        list(partitions(3, 2, -1))
 
 
 def test_count_partitions_in_rectangle():

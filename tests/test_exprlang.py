@@ -88,6 +88,12 @@ def test_parse_errors():
     assert exc.value.position == 6
     with pytest.raises(ParseError):
         parse("1/0")
+    # digits are ASCII 0-9 only: other Unicode digits are not read as numbers
+    for text, position in (("s[\N{SUPERSCRIPT TWO}]", 3), ("s[\N{ARABIC-INDIC DIGIT THREE}]", 3),
+                           ("2\N{SUPERSCRIPT TWO}", 2)):
+        with pytest.raises(ParseError, match="^unexpected character") as exc:
+            parse(text)
+        assert exc.value.position == position
 
     # at the end of the input the message names it, at the same position
     for text, position in (("", 1), ("s[1", 4)):

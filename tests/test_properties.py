@@ -2,20 +2,22 @@
 rational coefficients): the bracket relations of every representation, the
 transported actions against their explicit formulas, the
 Littlewood-Richardson product against the monomial expansion, the
-integer box operator against its Fraction-by-Fraction sum over the
-one-partition spec `box_image` (values and term order), and the
-canonical coefficients (int when integral) of every closed operation.
-Also the exact sparse kernel against sympy's on random sparse rational
-matrices, the dimension identity of one large finite decomposition, the
-closed forms of Kerov's U^m and D^m, and both actions as Kerov operators
-at their parameter points, cut to n rows."""
+integer product against its Fraction-by-Fraction sum and numeric factors
+against products by c*s_() (values, types and term order), the integer
+box operator against its Fraction-by-Fraction sum over the one-partition
+spec `box_image` (values and term order), and the canonical
+coefficients (int when integral) of every closed operation.  Also the
+exact sparse kernel against sympy's on random sparse rational matrices,
+the dimension identity of one large finite decomposition, the closed
+forms of Kerov's U^m and D^m, and both actions as Kerov operators at
+their parameter points, cut to n rows."""
 
 from fractions import Fraction
 from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sl2sym.combinatorics import partitions
 from sl2sym.polyring import Poly, poly_to_schur, schur_to_poly
@@ -29,7 +31,8 @@ from sl2sym.sl2_actions import (
     rho1_constants,
     rho2_constants,
 )
-from sl2sym.symfunc import SchurVector, multiply
+from sl2sym.exprlang import evaluate
+from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import content_product, standard_tableaux
 from sl2sym.vector import box_operator, canonical_coefficient
 from sl2sym.young import (
@@ -287,6 +290,94 @@ def test_product_equals_monomial_oracle(pair):
     n, lam, mu = pair
     product = multiply(SchurVector.basis(n, lam), SchurVector.basis(n, mu))
     assert product == poly_to_schur(schur_to_poly(lam, n) * schur_to_poly(mu, n))
+
+
+def exact_terms(v) -> list:
+    """The terms of `v` in order, each with the type of its coefficient."""
+    return [(key, type(c), c) for key, c in v.terms.items()]
+
+
+def multiply_reference(u, v) -> SchurVector:
+    """The Littlewood-Richardson product summed one Fraction at a time."""
+    out = {}
+    for lam, a in u.terms.items():
+        for mu, b in v.terms.items():
+            key = (lam, mu) if lam <= mu else (mu, lam)
+            for nu, c in _basis_product(key[0], key[1], u.n).items():
+                out[nu] = out.get(nu, 0) + a * b * c
+    return SchurVector._wrap(u.n, {
+        nu: c if type(c) is int or c.denominator != 1 else c.numerator
+        for nu, c in out.items() if c
+    })
+
+
+@st.composite
+def schur_operands(draw):
+    """(n, u, v): vectors in n <= 5 rows with |lam| <= 4 and coefficients
+    whose denominators go up to 10^6.  Each is empty, the unit or up to 4
+    random terms.  Half the time u also holds s_(1) and v holds c*s_lam -
+    c*s_mu for two shapes of one size: their products with s_(1) cancel on
+    every shape that contains both."""
+    n = draw(st.integers(1, 5))
+    shapes = [lam for m in range(5) for lam in partitions(m, n)]
+    operands = []
+    for _ in range(2):
+        kind = draw(st.integers(0, 4))
+        terms = {} if kind == 0 else {(): 1} if kind == 1 else draw(
+            st.dictionaries(st.sampled_from(shapes), coefficients, min_size=1, max_size=4))
+        operands.append(terms)
+    u, v = operands
+    if n > 1 and draw(st.booleans()):
+        m = draw(st.integers(2, 3))
+        lam, mu = draw(st.lists(st.sampled_from(list(partitions(m, n))), min_size=2,
+                                max_size=2, unique=True))
+        c = draw(coefficients.filter(bool))
+        u[(1,)] = draw(coefficients.filter(bool))
+        v.update({lam: c, mu: -c})
+    return n, SchurVector(n, u), SchurVector(n, v)
+
+
+@given(data=schur_operands())
+@example(data=(2, SchurVector(2, {(1,): Fraction(1, 3)}),
+               SchurVector(2, {(2,): Fraction(3, 7), (1, 1): Fraction(-3, 7)})))
+@settings(max_examples=150, deadline=None)
+def test_multiply_equals_fraction_reference(data):
+    n, u, v = data
+    out = multiply(u, v)
+    assert type(out) is SchurVector and out.n == n
+    assert exact_terms(out) == exact_terms(multiply_reference(u, v))
+
+
+@st.composite
+def scaled_expressions(draw):
+    """(n, c1, c2, tree): two numbers, each up to 5 with a denominator up to
+    10^6, and a small Schur expression in n <= 4 rows."""
+    n = draw(st.integers(1, 4))
+    number = st.fractions(min_value=0, max_value=5, max_denominator=10**6)
+    atoms = [("atom", "s", lam) for m in range(4) for lam in partitions(m, n)]
+    atoms += [("atom", letter, (k,)) for letter in "ph" for k in (1, 2, 3)]
+    atoms += [("atom", "e", (k,)) for k in range(1, n + 1)]
+    atom = st.sampled_from(atoms)
+    tree = st.one_of(atom, st.tuples(st.sampled_from(["add", "sub", "mul"]), atom, atom))
+    return n, draw(number), draw(number), draw(tree)
+
+
+def evaluate_through_unit(e, n) -> SchurVector:
+    """`evaluate` with every product taken by `multiply`, a number c as c*s_()."""
+    if e[0] == "mul":
+        return multiply(evaluate_through_unit(e[1], n), evaluate_through_unit(e[2], n))
+    return evaluate(e, n)
+
+
+@given(data=scaled_expressions())
+@settings(max_examples=100, deadline=None)
+def test_numeric_factors_scale_like_products(data):
+    n, c1, c2, x = data
+    for tree in (("mul", ("num", c1), x), ("mul", x, ("num", c1)),
+                 ("mul", ("mul", ("num", c1), ("num", c2)), x)):
+        out, expected = evaluate(tree, n), evaluate_through_unit(tree, n)
+        assert repr(out) == repr(expected)
+        assert exact_terms(out) == exact_terms(expected)
 
 
 @pytest.fixture(scope="module")
