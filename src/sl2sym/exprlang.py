@@ -230,6 +230,17 @@ def degree(e) -> int:
     raise ValueError(f"unknown node {kind!r}")
 
 
+def _scalar(e):
+    """The value of a number, a negated one or a product of them, else None."""
+    if e[0] == "num":
+        return e[1]
+    if e[0] == "neg" and (c := _scalar(e[1])) is not None:
+        return -c
+    if e[0] == "mul" and (rhs := _scalar(e[2])) is not None and (lhs := _scalar(e[1])) is not None:
+        return lhs * rhs
+    return None
+
+
 def _eval_schur(e, n: int, allow_diagram_atoms: bool) -> SchurVector:
     kind = e[0]
     if kind == "num":
@@ -256,9 +267,10 @@ def _eval_schur(e, n: int, allow_diagram_atoms: bool) -> SchurVector:
         return -_eval_schur(e[1], n, allow_diagram_atoms)
     if kind == "pow":
         return _eval_schur(e[1], n, allow_diagram_atoms) ** e[2]
-    if kind == "mul" and "num" in (e[1][0], e[2][0]):
-        num, other = (e[1], e[2]) if e[1][0] == "num" else (e[2], e[1])
-        return num[1] * _eval_schur(other, n, allow_diagram_atoms)
+    if kind == "mul":
+        for num, other in ((e[1], e[2]), (e[2], e[1])):
+            if (c := _scalar(num)) is not None:
+                return c * _eval_schur(other, n, allow_diagram_atoms)
     if kind in _BINARY:
         lhs, rhs = (_eval_schur(arg, n, allow_diagram_atoms) for arg in e[1:])
         return _BINARY[kind](lhs, rhs)

@@ -160,22 +160,24 @@ def decompose_finite(n: int, d: int) -> dict[int, int]:
 def rational_nullspace(images: list[dict]) -> list[dict]:
     """Kernel of the linear map sending basis element j to `images[j]`, a
     sparse {key: canonical coefficient} dict that is not changed.  Each
-    image is reduced in order against the pivots, the earlier images that are
-    independent, each kept reduced with the key it clears and the
-    combination of images it is.  An image that reduces to zero yields the
-    kernel vector {j: 1, p: -c_p}, the unique one supported on j and the
-    earlier pivots: the vector a reduced row echelon form gives for the
-    free column j.  The reduction runs over integers, each image first
-    scaled by the lcm of its denominators; only the kernel vectors are
-    divided out."""
+    image is reduced in order against the pivots, the earlier images that
+    are independent, each kept reduced as e_t with the key it clears and
+    the steps it took: e_t = S*image - sum(b*e_u).  An image j that reduces
+    to zero has S*image_j = sum(b*e_t); expanded through the steps, latest
+    pivot first, this gives the kernel vector {j: 1, p: -c_p}, the unique
+    one supported on j and the earlier pivots: the vector a reduced row
+    echelon form gives for the free column j.  The reduction runs over
+    integers, each image first scaled by the lcm of its denominators; only
+    the kernel vectors are divided out."""
     pivots = []
+    relations = []
     kernel = []
     for j, image in enumerate(images):
-        m = lcm(*(c.denominator for c in image.values()))
-        v = dict(image) if m == 1 else {k: c.numerator * (m // c.denominator)
+        s = lcm(*[c.denominator for c in image.values()])
+        v = dict(image) if s == 1 else {k: c.numerator * (s // c.denominator)
                                         for k, c in image.items()}
-        combo = {j: m}
-        for key, reduced, pivot_combo in pivots:
+        steps = []
+        for key, reduced, t in pivots:
             f = v.get(key)
             if f:
                 p = reduced[key]
@@ -183,24 +185,29 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
                 a, b = p // g, f // g
                 if a != 1:
                     v = {k: a * c for k, c in v.items()}
-                    combo = {i: a * c for i, c in combo.items()}
+                    s *= a
+                    steps = [(u, a * c) for u, c in steps]
                 for k, c in reduced.items():
                     x = v.get(k, 0) - b * c
                     if x:
                         v[k] = x
                     else:
                         del v[k]
-                for i, c in pivot_combo.items():
-                    combo[i] = combo.get(i, 0) - b * c
+                steps.append((t, b))
         if v:
-            g = gcd(*v.values(), *combo.values())
-            pivots.append((
-                next(iter(v)),
-                {k: c // g for k, c in v.items()},
-                {i: c // g for i, c in combo.items()},
-            ))
-        else:
-            kernel.append(_divided(combo, combo[j]))
+            g = gcd(*v.values(), s, *[b for _, b in steps])
+            pivots.append((next(iter(v)), {k: c // g for k, c in v.items()}, len(pivots)))
+            relations.append((j, s // g, [(u, b // g) for u, b in steps]))
+            continue
+        vec, coeffs = {j: s}, dict(steps)
+        for t in range(len(pivots) - 1, -1, -1):
+            c = coeffs.pop(t, 0)
+            if c:
+                col, scale, recorded = relations[t]
+                vec[col] = -c * scale
+                for u, b in recorded:
+                    coeffs[u] = coeffs.get(u, 0) - c * b
+        kernel.append(_divided(vec, s))
     return kernel
 
 
@@ -210,10 +217,14 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     its Schur basis elements.  The number of vectors of weight -i equals
     the multiplicity of the (i+1)-dimensional irreducible.  Only the
     weights 2m - nd <= 0 are reduced: the box span is a finite-dimensional
-    sl2-module, in which lowering is injective on positive weights."""
+    sl2-module, in which lowering is injective on positive weights.  Of
+    those, the weights whose Cayley-Sylvester count is 0 are skipped."""
     lower = rho2_constants(n, d)["lower"]
+    counts = _box_binomial(n, d)
     out = []
     for m in range(n * d // 2 + 1):
+        if m and counts[m] == counts[m - 1]:
+            continue
         domain = list(partitions(m, n, d))
         images = [box_operator(SchurVector._wrap(n, {lam: 1}), lower, n).terms for lam in domain]
         for vec in rational_nullspace(images):

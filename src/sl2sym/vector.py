@@ -162,7 +162,7 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
     a, b = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator)
-    m = lcm(*(c.denominator for c in v.terms.values()))
+    m = lcm(*[c.denominator for c in v.terms.values()])
     out = {}
     get = out.get
     for lam, c in v.terms.items():
@@ -170,18 +170,22 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
         if part == "diagonal":
             out[lam] = get(lam, 0) + c * (a + b * sum(lam))
             continue
-        rows = len(lam)
+        rows, cells = len(lam), list(lam)
         if part == "remove":
             for r, p in enumerate(lam):
                 if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
-                    mu = lam[:r] + (p - 1,) + lam[r + 1:] if p > 1 else lam[:r]
+                    cells[r] = p - 1
+                    mu = tuple(cells) if p > 1 else lam[:r]
+                    cells[r] = p
                     out[mu] = get(mu, 0) + c * (a + b * (p - r - 1))
             continue
         if row_bound is not None and rows > row_bound:
             raise ValueError(f"{lam!r} already has more than {row_bound} rows")
         for r, p in enumerate(lam):
             if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
-                mu = lam[:r] + (p + 1,) + lam[r + 1:]
+                cells[r] = p + 1
+                mu = tuple(cells)
+                cells[r] = p
                 out[mu] = get(mu, 0) + c * (a + b * (p - r))
         if row_bound is None or rows < row_bound:
             mu = lam + (1,)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from sl2sym import exprlang
 from sl2sym.exprlang import EvalError, ParseError, evaluate, parse, print_expr
 from sl2sym.symfunc import SchurVector, multiply, power_sum_schur, z_generator_schur
 from sl2sym.young import DiagramVector
@@ -138,6 +139,27 @@ def test_evaluate_diagram_mode():
     assert evaluate(parse("p[2]"), 2, mode="diagram") == DiagramVector(
         2, {(2,): 1, (1, 1): -1}
     )
+
+
+def test_numeric_factors_skip_the_schur_product(monkeypatch):
+    # a negated number and a product of numbers scale like a plain number:
+    # none of these expressions multiplies two Schur vectors
+    def refuse(u, v):
+        raise AssertionError(f"multiply called on {u!r} and {v!r}")
+
+    monkeypatch.setitem(exprlang._BINARY, "mul", refuse)
+    cases = {
+        "-2*s[1]": {(1,): -2},
+        "2*3*s[2,1]": {(2, 1): 6},
+        "s[1]*2*3": {(1,): 6},
+        "-(1/2*3)*s[1]": {(1,): Fraction(-3, 2)},
+        "2*-3*s[1] + s[1]*-1": {(1,): -7},
+        "2*3": {(): 6},
+    }
+    for text, terms in cases.items():
+        assert evaluate(parse(text), 3) == SchurVector(3, terms)
+    with pytest.raises(AssertionError, match="multiply called"):
+        evaluate(parse("s[1]*s[1]"), 3)
 
 
 def test_evaluate_is_multiplicative():

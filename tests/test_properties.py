@@ -374,7 +374,9 @@ def evaluate_through_unit(e, n) -> SchurVector:
 def test_numeric_factors_scale_like_products(data):
     n, c1, c2, x = data
     for tree in (("mul", ("num", c1), x), ("mul", x, ("num", c1)),
-                 ("mul", ("mul", ("num", c1), ("num", c2)), x)):
+                 ("mul", ("mul", ("num", c1), ("num", c2)), x),
+                 ("mul", ("neg", ("num", c1)), x),
+                 ("mul", x, ("neg", ("mul", ("num", c1), ("neg", ("num", c2)))))):
         out, expected = evaluate(tree, n), evaluate_through_unit(tree, n)
         assert repr(out) == repr(expected)
         assert exact_terms(out) == exact_terms(expected)

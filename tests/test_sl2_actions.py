@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2sym.combinatorics import lw_counts, partitions
+from sl2sym.combinatorics import gaussian_binomial, lw_counts, partitions
 from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
     act_rho1,
@@ -219,6 +219,17 @@ def test_lowering_is_injective_on_positive_weights(n, d):
         assert rational_nullspace(lowering_images(n, d, m)[1]) == []
 
 
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(7) for d in range(7)])
+def test_kernel_dimension_is_cayley_sylvester(n, d):
+    # every weight 2m - nd <= 0 has c_m = #box(m) - #box(m-1) lowest-weight
+    # vectors: lowest_weight_space_rho2 skips the weights with c_m = 0, and
+    # this is the fact that lets it
+    counts = gaussian_binomial(n + d, n)
+    for m in range(n * d // 2 + 1):
+        c_m = counts[m] - (counts[m - 1] if m else 0)
+        assert len(rational_nullspace(lowering_images(n, d, m)[1])) == c_m
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_lowest_weight_space_rho2_equals_all_weights_reference(n):
     # the kernel at every weight 0..nd, each vector built by the checked
@@ -276,3 +287,24 @@ def test_rational_linear_algebra():
     # every image empty: the unit vectors
     assert rational_nullspace([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
     assert rational_nullspace([]) == []
+    # image 3 reduces through pivots 0, 1 and 2, and each of pivots 1 and 2
+    # was itself reduced by the one before it: expanding its steps walks
+    # that chain, adding into the coefficients of pivots 1 and 0
+    chain = [{"a": 1, "b": 1}, {"a": 1, "c": 1}, {"c": 1, "d": 1}, {"a": 2, "b": 1, "c": 2, "d": 1}]
+    assert rational_nullspace(chain) == [{3: 1, 2: -1, 1: -1, 0: -1}]
+    # the same image twice: its steps cancel on the way down the chain
+    assert rational_nullspace(chain[:3] + [chain[2]]) == [{3: 1, 2: -1}]
+    # pivot 1 is 2*image_1 - 3*e_0, so its scale 2 enters the kernel vector
+    assert rational_nullspace([{"a": 2, "b": 1}, {"a": 3, "c": 1}, {"b": 3, "c": -2}]) == [
+        {2: 1, 1: 2, 0: -3}
+    ]
+    # image 2 records a step on pivot 0, then pivot 1 = 2*e_b rescales it
+    # by 2: the recorded multiplier must be rescaled too; pivot 1's row
+    # has content 2 but its scale is 1, so its relation is not divided
+    assert rational_nullspace([{"a": 1}, {"b": 2}, {"a": 1, "b": 1}]) == [
+        {2: 1, 1: Fraction(-1, 2), 0: -1}
+    ]
+    # Fraction images: each is scaled by the lcm of its denominators
+    halves = [{"a": Fraction(1, 2), "b": Fraction(1, 3)},
+              {"a": Fraction(3, 4), "b": Fraction(1, 2)}]
+    assert rational_nullspace(halves) == [{1: 1, 0: Fraction(-3, 2)}]
