@@ -30,18 +30,27 @@ def partitions(size: int, max_rows: int | None = None, max_part: int | None = No
         max_rows = size
     if max_part is None:
         max_part = size
-
-    def rec(remaining, rows_left, cap):
-        if remaining == 0:
-            yield ()
+    if size < 0 or size > max_rows * max_part:
+        return
+    lam, rest = [], size  # the parts so far, and what they leave of size
+    while True:
+        cap = lam[-1] if lam else max_part
+        while rest:  # fill greedily: the rows left can always hold rest
+            if rest < cap:
+                cap = rest
+            lam.append(cap)
+            rest -= cap
+        yield tuple(lam)
+        # back up to the last row that can lose a cell and still be completed
+        while lam:
+            p = lam.pop()
+            rest += p
+            if p > 1 and (p - 1) * (max_rows - len(lam)) >= rest:
+                lam.append(p - 1)
+                rest -= p - 1
+                break
+        else:
             return
-        for first in range(min(cap, remaining), 0, -1):
-            if first * rows_left < remaining:
-                return  # rows_left parts of at most first cannot sum to remaining
-            for rest in rec(remaining - first, rows_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(size, max_rows, max_part)
 
 
 @cache

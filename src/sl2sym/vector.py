@@ -152,21 +152,18 @@ def op_constants(table: dict, op: str) -> tuple:
         raise ValueError(f"unknown operator {op!r}") from None
 
 
-def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
-    """The content-weighted box operator on a partition-keyed vector, with
-    ambient `row_bound`.  `constants` (part, a, b) sends lam to lam less each
-    removable cell ("remove") or plus each cell addable within `row_bound`
-    rows (None: unbounded) ("add"), top to bottom, weighted a + b*content, or
-    to lam weighted a + b*|lam| ("diagonal"), in one pass over its rows.  Sums
-    run over integers on one common denominator, divided out once per term."""
-    part, a, b = constants
-    k = lcm(a.denominator, b.denominator)
-    a, b = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator)
-    m = lcm(*[c.denominator for c in v.terms.values()])
+def _box_sums(terms: dict, part: str, a: int, b: int, row_bound, m: int = 1) -> dict:
+    """The box operator of `box_operator` with integer constants a, b on
+    m times `terms`, whose coefficients are canonical with denominators
+    dividing m (m = 1: ints): the integer sums {mu: sum}, zeros kept, keys
+    in order of first appearance.  Each coefficient is scaled as it is read,
+    so no scaled copy of `terms` is built.  The library's one walk over the
+    corners of a partition."""
     out = {}
     get = out.get
-    for lam, c in v.terms.items():
-        c = c.numerator * (m // c.denominator)
+    for lam, c in terms.items():
+        if m != 1:
+            c = c.numerator * (m // c.denominator)
         if part == "diagonal":
             out[lam] = get(lam, 0) + c * (a + b * sum(lam))
             continue
@@ -190,4 +187,20 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
         if row_bound is None or rows < row_bound:
             mu = lam + (1,)
             out[mu] = get(mu, 0) + c * (a - b * rows)
-    return v._wrap(row_bound, _divided(out, k * m))
+    return out
+
+
+def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
+    """The content-weighted box operator on a partition-keyed vector, with
+    ambient `row_bound`.  `constants` (part, a, b) sends lam to lam less each
+    removable cell ("remove") or plus each cell addable within `row_bound`
+    rows (None: unbounded) ("add"), top to bottom, weighted a + b*content, or
+    to lam weighted a + b*|lam| ("diagonal"), in one pass over its rows.  Sums
+    run over integers on one common denominator (`_box_sums`), divided out
+    once per term."""
+    part, a, b = constants
+    k = lcm(a.denominator, b.denominator)
+    m = lcm(*[c.denominator for c in v.terms.values()])
+    sums = _box_sums(v.terms, part, a.numerator * (k // a.denominator),
+                     b.numerator * (k // b.denominator), row_bound, m)
+    return v._wrap(row_bound, _divided(sums, k * m))

@@ -82,6 +82,33 @@ def test_partitions_generator():
                 ]
 
 
+def recursive_partitions(size, max_rows=None, max_part=None):
+    """The partitions generator as it was: nested recursive generators."""
+    if max_rows is None:
+        max_rows = size
+    if max_part is None:
+        max_part = size
+
+    def rec(remaining, rows_left, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            if first * rows_left < remaining:
+                return
+            for rest in rec(remaining - first, rows_left - 1, first):
+                yield (first,) + rest
+
+    yield from rec(size, max_rows, max_part)
+
+
+def test_partitions_walk_equals_recursive_generator():
+    for size in range(15):
+        for rows in (None, 0, 1, 2, 3, 5):
+            for part in (None, 0, 1, 2, 4):
+                assert list(partitions(size, rows, part)) == list(
+                    recursive_partitions(size, rows, part))
+
 def test_partitions_refuse_negative_bounds():
     with pytest.raises(ValueError, match=r"^max_rows must be >= 0, got -1$"):
         list(partitions(3, -1))

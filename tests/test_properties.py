@@ -5,12 +5,12 @@ Littlewood-Richardson product against the monomial expansion, the
 integer product against its Fraction-by-Fraction sum and numeric factors
 against products by c*s_() (values, types and term order), the integer
 box operator against its Fraction-by-Fraction sum over the one-partition
-spec `box_image` (values and term order), and the canonical
-coefficients (int when integral) of every closed operation.  Also the
-exact sparse kernel against sympy's on random sparse rational matrices,
-the dimension identity of one large finite decomposition, the closed
-forms of Kerov's U^m and D^m, and both actions as Kerov operators at
-their parameter points, cut to n rows."""
+spec `box_image` (values and term order), the rho2 kernel images against
+that spec, and the canonical coefficients (int when integral) of every
+closed operation.  Also the exact sparse kernel against sympy's on
+random sparse rational matrices, the dimension identity of one large
+finite decomposition, the closed forms of Kerov's U^m and D^m, and both
+actions as Kerov operators at their parameter points, cut to n rows."""
 
 from fractions import Fraction
 from math import comb
@@ -34,7 +34,7 @@ from sl2sym.sl2_actions import (
 from sl2sym.exprlang import evaluate
 from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import content_product, standard_tableaux
-from sl2sym.vector import box_operator, canonical_coefficient
+from sl2sym.vector import _box_sums, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -236,6 +236,18 @@ def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeff
                                  (nabla("+", lam, row_bound), ("add", 0, 1))):
             reference = box_operator_reference(basis, constants, row_bound)
             assert list(image.terms.items()) == list(reference.items())
+
+
+def test_kernel_images_equal_box_image():
+    # the rho2 kernel images are the integer box sums of one partition: the
+    # one-partition spec, in its order, with no zero weight in the box
+    n, d = 4, 3
+    lower = rho2_constants(n, d)["lower"]
+    for m in range(n * d + 1):
+        for lam in partitions(m, n, d):
+            image = list(_box_sums({lam: 1}, *lower, n).items())
+            assert image == box_image(lam, lower, n)
+            assert all(type(w) is int and w > 0 for _, w in image)
 
 
 def test_box_operator_empty_and_cancelling():

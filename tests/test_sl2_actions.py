@@ -1,8 +1,10 @@
 import hashlib
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from sl2sym import sl2_actions
 from sl2sym.combinatorics import gaussian_binomial, lw_counts, partitions
 from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
@@ -25,7 +27,7 @@ from sl2sym.symfunc import (
     power_sum_schur,
     z_generator_schur,
 )
-from sl2sym.vector import box_operator
+from sl2sym.vector import _divided, box_operator
 from sl2sym.verify import peel_character
 
 
@@ -243,6 +245,69 @@ def test_lowest_weight_space_rho2_equals_all_weights_reference(n):
                 reference.append((2 * m - n * d, list(sv.terms.items())))
         lw = lowest_weight_space_rho2(n, d)
         assert repr([(weight, list(vec.terms.items())) for vec, weight in lw]) == repr(reference)
+
+
+def first_key_nullspace(images):
+    """`rational_nullspace` as it was with the first-key pivot rule: a new
+    pivot clears `next(iter(v))`, the first key left in its image."""
+    pivots, relations, kernel = [], [], []
+    for j, image in enumerate(images):
+        s = lcm(*[c.denominator for c in image.values()])
+        v = dict(image) if s == 1 else {k: c.numerator * (s // c.denominator)
+                                        for k, c in image.items()}
+        steps = []
+        for key, reduced, t in pivots:
+            f = v.get(key)
+            if f:
+                p = reduced[key]
+                g = gcd(f, p)
+                a, b = p // g, f // g
+                if a != 1:
+                    v = {k: a * c for k, c in v.items()}
+                    s *= a
+                    steps = [(u, a * c) for u, c in steps]
+                for k, c in reduced.items():
+                    x = v.get(k, 0) - b * c
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
+                steps.append((t, b))
+        if v:
+            g = gcd(*v.values(), s, *[b for _, b in steps])
+            pivots.append((next(iter(v)), {k: c // g for k, c in v.items()}, len(pivots)))
+            relations.append((j, s // g, [(u, b // g) for u, b in steps]))
+            continue
+        vec, coeffs = {j: s}, dict(steps)
+        for t in range(len(pivots) - 1, -1, -1):
+            c = coeffs.pop(t, 0)
+            if c:
+                col, scale, recorded = relations[t]
+                vec[col] = -c * scale
+                for u, b in recorded:
+                    coeffs[u] = coeffs.get(u, 0) - c * b
+        kernel.append(_divided(vec, s))
+    return kernel
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_lowest_weight_space_rho2_does_not_depend_on_the_pivot_key(n, monkeypatch):
+    # the smallest-key pivot gives the same vectors, weights, order and
+    # coefficient types as the first-key rule
+    for d in range(7):
+        smallest = repr(lowest_weight_space_rho2(n, d))
+        with monkeypatch.context() as patch:
+            patch.setattr(sl2_actions, "rational_nullspace", first_key_nullspace)
+            assert repr(lowest_weight_space_rho2(n, d)) == smallest
+
+
+def test_lowest_weight_space_rho2_checks_its_kernel_counts(monkeypatch):
+    # a level that loses a kernel vector fails its Cayley-Sylvester count
+    exact = sl2_actions.rational_nullspace
+    assert [weight for _, weight in lowest_weight_space_rho2(3, 3)] == [-9, -5, -3]
+    monkeypatch.setattr(sl2_actions, "rational_nullspace", lambda images: exact(images)[1:])
+    with pytest.raises(ArithmeticError, match=r"^weight -9 of the 3 x 3 box has 0 kernel vectors, not 1$"):
+        lowest_weight_space_rho2(3, 3)
 
 
 def test_vd_realization():
