@@ -34,20 +34,25 @@ class CliError(Exception):
 
 
 def format_terms(items, letter: str) -> str:
-    """Render sorted (partition, coefficient) pairs like '-4*s[1,1] - 2*s[2]'."""
+    """Render sorted (partition, coefficient) pairs like '-4*s[1,1] - 2*s[2]',
+    each coefficient from its integer numerator and denominator."""
     if not items:
         return "0"
-    pieces = []
+    out = []
     for lam, c in items:
-        atom = f"{letter}[{','.join(map(str, lam))}]"
-        mag = abs(c)
-        body = atom if mag == 1 else f"{mag}*{atom}"
-        pieces.append((c < 0, body))
-    first_neg, first_body = pieces[0]
-    out = ("-" if first_neg else "") + first_body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+        num, den = c.numerator, c.denominator
+        if num < 0:
+            out.append(" - ")
+            num = -num
+        else:
+            out.append(" + ")
+        if den != 1:
+            out.append(f"{num}/{den}*")
+        elif num != 1:
+            out.append(f"{num}*")
+        out.append(f"{letter}[{','.join(map(str, lam))}]")
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def _terms_json(items):

@@ -14,7 +14,7 @@ from .combinatorics import (
     partitions,
 )
 from .symfunc import SchurVector, elementary_schur, multiply, power_sum_schur, z_monomial_schur
-from .vector import _box_sums, _divided, box_operator, op_constants
+from .vector import _box_image, _divided, box_operator, op_constants
 
 
 class LowestWeightVector(NamedTuple):
@@ -187,12 +187,14 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
             f = v.get(key)
             if f:
                 p = reduced[key]
-                g = gcd(f, p)
-                a, b = p // g, f // g
-                if a != 1:
+                if f % p:
+                    g = gcd(f, p)
+                    a, b = p // g, f // g
                     v = {k: a * c for k, c in v.items()}
                     s *= a
                     steps = [(u, a * c) for u, c in steps]
+                else:  # p divides f: subtract f/p times the pivot, no rescale
+                    b = f // p
                 for k, c in reduced.items():
                     x = v.get(k, 0) - b * c
                     if x:
@@ -202,8 +204,11 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
                 steps.append((t, b))
         if v:
             g = gcd(*v.values(), s, *[b for _, b in steps])
-            pivots.append((min(v), {k: c // g for k, c in v.items()}, len(pivots)))
-            relations.append((j, s // g, [(u, b // g) for u, b in steps]))
+            if g != 1:
+                v, s = {k: c // g for k, c in v.items()}, s // g
+                steps = [(u, b // g) for u, b in steps]
+            pivots.append((min(v), v, len(pivots)))
+            relations.append((j, s, steps))
             continue
         vec, coeffs = {j: s}, dict(steps)
         for t in range(len(pivots) - 1, -1, -1):
@@ -227,8 +232,9 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     those, the weights whose Cayley-Sylvester count is 0 are skipped, and
     each other weight must give exactly its count of kernel vectors, or
     ArithmeticError is raised.  The images are the integer box sums of one
-    partition each: the lowering weights n + content are positive in the
-    box, so no image has a zero coefficient."""
+    partition each, read from the process's neighbour table: the lowering
+    weights n + content are positive in the box, so no image has a zero
+    coefficient."""
     part, a, b = rho2_constants(n, d)["lower"]
     counts = _box_binomial(n, d)
     out = []
@@ -237,7 +243,7 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
         if not expected:
             continue
         domain = list(partitions(m, n, d))
-        kernel = rational_nullspace([_box_sums({lam: 1}, part, a, b, n) for lam in domain])
+        kernel = rational_nullspace([_box_image(lam, part, a, b, n) for lam in domain])
         if len(kernel) != expected:
             raise ArithmeticError(f"weight {2 * m - n * d} of the {n} x {d} box has "
                                   f"{len(kernel)} kernel vectors, not {expected}")

@@ -6,6 +6,7 @@ with different constants."""
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
+from threading import Lock
 
 
 def canonical_order(terms: dict) -> list:
@@ -152,42 +153,84 @@ def op_constants(table: dict, op: str) -> tuple:
         raise ValueError(f"unknown operator {op!r}") from None
 
 
-def _box_sums(terms: dict, part: str, a: int, b: int, row_bound, m: int = 1) -> dict:
-    """The box operator of `box_operator` with integer constants a, b on
-    m times `terms`, whose coefficients are canonical with denominators
-    dividing m (m = 1: ints): the integer sums {mu: sum}, zeros kept, keys
-    in order of first appearance.  Each coefficient is scaled as it is read,
-    so no scaled copy of `terms` is built.  The library's one walk over the
-    corners of a partition."""
-    out = {}
-    get = out.get
-    for lam, c in terms.items():
-        if m != 1:
-            c = c.numerator * (m // c.denominator)
-        if part == "diagonal":
-            out[lam] = get(lam, 0) + c * (a + b * sum(lam))
-            continue
-        rows, cells = len(lam), list(lam)
-        if part == "remove":
-            for r, p in enumerate(lam):
-                if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
-                    cells[r] = p - 1
-                    mu = tuple(cells) if p > 1 else lam[:r]
-                    cells[r] = p
-                    out[mu] = get(mu, 0) + c * (a + b * (p - r - 1))
-            continue
-        if row_bound is not None and rows > row_bound:
-            raise ValueError(f"{lam!r} already has more than {row_bound} rows")
+# The partition index of the process: each partition the box operator walks
+# or reaches gets a small int, and the box sums add up over those ints, which
+# hash faster than tuples.  Filled on first use and never cleared, since the
+# neighbours of a partition depend neither on the operator's constants nor on
+# a row bound.  Indices never leave this module.
+_INDEX = {}  # partition -> index
+_PARTITIONS = []  # index -> partition, the same tuple objects as the keys
+# part -> {partition: ((neighbour index, content), ...)}, top to bottom; the
+# "add" neighbours end with the cell in the new row below the partition.
+_NEIGHBOURS = {"remove": {}, "add": {}}
+_INDEX_LOCK = Lock()  # so that threads never see an index before its partition
+
+
+def _index(lam: tuple) -> int:
+    i = _INDEX.get(lam)
+    if i is None:
+        with _INDEX_LOCK:
+            i = _INDEX.get(lam)
+            if i is None:
+                _PARTITIONS.append(lam)
+                i = _INDEX[lam] = len(_PARTITIONS) - 1
+    return i
+
+
+def _neighbours(lam: tuple, part: str) -> tuple:
+    """Walk `lam` and store its `part` neighbours in `_NEIGHBOURS`, keyed by
+    the indexed tuple: one pass over its rows, each neighbour built by
+    changing one entry of a list of the rows.  The library's one walk over
+    the corners of a partition."""
+    rows, cells, out = len(lam), list(lam), []
+    if part == "remove":
+        for r, p in enumerate(lam):
+            if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
+                cells[r] = p - 1
+                out.append((_index(tuple(cells) if p > 1 else lam[:r]), p - r - 1))
+                cells[r] = p
+    else:
         for r, p in enumerate(lam):
             if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
                 cells[r] = p + 1
-                mu = tuple(cells)
+                out.append((_index(tuple(cells)), p - r))
                 cells[r] = p
-                out[mu] = get(mu, 0) + c * (a + b * (p - r))
-        if row_bound is None or rows < row_bound:
-            mu = lam + (1,)
-            out[mu] = get(mu, 0) + c * (a - b * rows)
+        out.append((_index(lam + (1,)), -rows))
+    out = _NEIGHBOURS[part][_PARTITIONS[_index(lam)]] = tuple(out)
     return out
+
+
+def _box_sums(terms: dict, part: str, a: int, b: int, row_bound, m: int = 1) -> dict:
+    """The "remove" or "add" part of `box_operator` with integer constants
+    a, b on m times `terms`, whose coefficients are canonical with
+    denominators dividing m (m = 1: ints): the integer sums keyed by
+    partition index, {index: sum}, zeros kept, keys in order of first
+    appearance.  Each coefficient is scaled as it is read, so no scaled
+    copy of `terms` is built."""
+    out = {}
+    get = out.get
+    table = _NEIGHBOURS[part]
+    bounded = part != "remove" and row_bound is not None
+    for lam, c in terms.items():
+        if m != 1:
+            c = c.numerator * (m // c.denominator)
+        nbrs = table.get(lam)
+        if nbrs is None:
+            nbrs = _neighbours(lam, part)
+        if bounded and len(lam) >= row_bound:
+            if len(lam) > row_bound:
+                raise ValueError(f"{lam!r} already has more than {row_bound} rows")
+            nbrs = nbrs[:-1]
+        for i, w in nbrs:
+            out[i] = get(i, 0) + c * (a + b * w)
+    return out
+
+
+def _box_image(lam: tuple, part: str, a: int, b: int, row_bound) -> dict:
+    """`_box_sums` of the one partition `lam` with coefficient 1, keyed by
+    partitions: {mu: a + b*content}, zeros kept."""
+    parts = _PARTITIONS
+    return {parts[i]: x for i, x in _box_sums({lam: 1}, part, a, b, row_bound).items()}
 
 
 def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
@@ -195,12 +238,18 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     ambient `row_bound`.  `constants` (part, a, b) sends lam to lam less each
     removable cell ("remove") or plus each cell addable within `row_bound`
     rows (None: unbounded) ("add"), top to bottom, weighted a + b*content, or
-    to lam weighted a + b*|lam| ("diagonal"), in one pass over its rows.  Sums
-    run over integers on one common denominator (`_box_sums`), divided out
-    once per term."""
+    to lam weighted a + b*|lam| ("diagonal").  Sums run over integers on one
+    common denominator (`_box_sums`), divided out once per term."""
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
     m = lcm(*[c.denominator for c in v.terms.values()])
-    sums = _box_sums(v.terms, part, a.numerator * (k // a.denominator),
-                     b.numerator * (k // b.denominator), row_bound, m)
-    return v._wrap(row_bound, _divided(sums, k * m))
+    a, b, den = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator), k * m
+    if part == "diagonal":
+        return v._wrap(row_bound, _divided({
+            lam: (c if m == 1 else c.numerator * (m // c.denominator)) * (a + b * sum(lam))
+            for lam, c in v.terms.items()}, den))
+    sums, parts = _box_sums(v.terms, part, a, b, row_bound, m), _PARTITIONS
+    if den == 1:
+        return v._wrap(row_bound, {parts[i]: x for i, x in sums.items() if x})
+    return v._wrap(row_bound, {parts[i]: x // den if not x % den else Fraction(x, den)
+                               for i, x in sums.items() if x})

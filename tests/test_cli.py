@@ -202,6 +202,8 @@ def test_format_terms():
     assert format_terms([], "s") == "0"
     assert format_terms([((), Fraction(1, 2))], "y") == "1/2*y[]"
     assert format_terms([((1,), Fraction(1)), ((2,), Fraction(-1))], "s") == "s[1] - s[2]"
+    mixed = [((1,), -1), ((2,), Fraction(-3, 4)), ((3,), 5), ((2, 1), Fraction(7, 2)), ((1, 1), 1)]
+    assert format_terms(mixed, "s") == "-s[1] - 3/4*s[2] + 5*s[3] + 7/2*s[2,1] + s[1,1]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,15 +5,20 @@ Littlewood-Richardson product against the monomial expansion, the
 integer product against its Fraction-by-Fraction sum and numeric factors
 against products by c*s_() (values, types and term order), the integer
 box operator against its Fraction-by-Fraction sum over the one-partition
-spec `box_image` (values and term order), the rho2 kernel images against
-that spec, and the canonical coefficients (int when integral) of every
-closed operation.  Also the exact sparse kernel against sympy's on
-random sparse rational matrices, the dimension identity of one large
-finite decomposition, the closed forms of Kerov's U^m and D^m, and both
-actions as Kerov operators at their parameter points, cut to n rows."""
+spec `box_image` (values and term order) and against the corner walk run
+afresh on every term, as before the partition index (values, types, term
+order and errors, also after unrelated calls or other threads have filled
+the index), the rho2 kernel images against that spec, and the canonical
+coefficients (int when integral) of every closed operation.  Also the
+exact sparse kernel against sympy's on random sparse rational matrices,
+the dimension identity of one large finite decomposition, the closed
+forms of Kerov's U^m and D^m, and both actions as Kerov operators at
+their parameter points, cut to n rows."""
 
+import sys
+import threading
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -34,7 +39,8 @@ from sl2sym.sl2_actions import (
 from sl2sym.exprlang import evaluate
 from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import content_product, standard_tableaux
-from sl2sym.vector import _box_sums, box_operator, canonical_coefficient
+from sl2sym import vector
+from sl2sym.vector import _box_image, _divided, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -245,9 +251,162 @@ def test_kernel_images_equal_box_image():
     lower = rho2_constants(n, d)["lower"]
     for m in range(n * d + 1):
         for lam in partitions(m, n, d):
-            image = list(_box_sums({lam: 1}, *lower, n).items())
+            image = list(_box_image(lam, *lower, n).items())
             assert image == box_image(lam, lower, n)
             assert all(type(w) is int and w > 0 for _, w in image)
+
+
+def box_sums_reference(terms, part, a, b, row_bound, m=1):
+    """The integer box sums with the corner walk run afresh on every term
+    and summed over partition keys, as the library did before its partition
+    index: {mu: sum}, zeros kept, keys in order of first appearance."""
+    out = {}
+    get = out.get
+    for lam, c in terms.items():
+        if m != 1:
+            c = c.numerator * (m // c.denominator)
+        if part == "diagonal":
+            out[lam] = get(lam, 0) + c * (a + b * sum(lam))
+            continue
+        rows, cells = len(lam), list(lam)
+        if part == "remove":
+            for r, p in enumerate(lam):
+                if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
+                    cells[r] = p - 1
+                    mu = tuple(cells) if p > 1 else lam[:r]
+                    cells[r] = p
+                    out[mu] = get(mu, 0) + c * (a + b * (p - r - 1))
+            continue
+        if row_bound is not None and rows > row_bound:
+            raise ValueError(f"{lam!r} already has more than {row_bound} rows")
+        for r, p in enumerate(lam):
+            if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
+                cells[r] = p + 1
+                mu = tuple(cells)
+                cells[r] = p
+                out[mu] = get(mu, 0) + c * (a + b * (p - r))
+        if row_bound is None or rows < row_bound:
+            mu = lam + (1,)
+            out[mu] = get(mu, 0) + c * (a - b * rows)
+    return out
+
+
+def box_operator_walk_reference(v, constants, row_bound):
+    """`box_operator` over `box_sums_reference`: the same integer scaling
+    and one division per term, with no partition index."""
+    part, a, b = constants
+    k = lcm(a.denominator, b.denominator)
+    m = lcm(*[c.denominator for c in v.terms.values()])
+    sums = box_sums_reference(v.terms, part, a.numerator * (k // a.denominator),
+                              b.numerator * (k // b.denominator), row_bound, m)
+    return _divided(sums, k * m)
+
+
+def typed_items(terms):
+    return [(key, type(c), c) for key, c in terms.items()]
+
+
+def same_as_walk(v, constants, row_bound):
+    """box_operator and the reference walk agree on v: the same terms, term
+    order and coefficient types, or the same ValueError text."""
+    try:
+        expected = box_operator_walk_reference(v, constants, row_bound)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            box_operator(v, constants, row_bound)
+        return str(info.value) == str(exc)
+    return typed_items(box_operator(v, constants, row_bound).terms) == typed_items(expected)
+
+
+mixed_coefficients = st.one_of(st.integers(-9, 9), rationals)
+
+
+@given(
+    data=sparse_terms(),
+    bound=st.one_of(st.none(), st.integers(0, 5), st.just("tallest")),
+    part=st.sampled_from(["remove", "add", "diagonal"]),
+    a=constants_part,
+    b=constants_part,
+    coeffs=st.lists(mixed_coefficients, min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_box_operator_equals_reference_walk(data, bound, part, a, b, coeffs):
+    # bounds below, at and above the rows of the keys; "tallest" puts the
+    # bound at the rows of the tallest key, where "add" has no new row
+    _, _, terms = data
+    terms = dict(zip(terms, coeffs))
+    if bound == "tallest":
+        bound = max(map(len, terms), default=0)
+    assert same_as_walk(DiagramVector(None, terms), (part, a, b), bound)
+
+
+@given(data=sparse_terms(), z=rationals, zprime=rationals)
+@settings(max_examples=60, deadline=None)
+def test_kerov_operators_equal_reference_walk(data, z, zprime):
+    _, _, terms = data
+    v = DiagramVector(None, terms)
+    params, table = KerovParams(z, zprime), kerov_constants(z, zprime)
+    for op in "ULD":
+        expected = box_operator_walk_reference(v, table[op], None)
+        assert typed_items(kerov_apply(op, v, params).terms) == typed_items(expected)
+
+
+def test_box_operator_does_not_depend_on_the_index(monkeypatch):
+    # the same calls in a fresh index, after unrelated calls have filled
+    # it, and in the index the process already has
+    calls = [(DiagramVector(None, {(3, 1): Fraction(1, 2), (2, 2): 3, (1,): -1}), constants, bound)
+             for constants in (("add", Fraction(-2, 3), 1), ("remove", 4, Fraction(1, 5)),
+                               ("diagonal", 1, 2), ("add", 0, 1))
+             for bound in (None, 2, 3)]
+    shared = [typed_items(box_operator(*call).terms) for call in calls]
+    monkeypatch.setattr(vector, "_INDEX", {})
+    monkeypatch.setattr(vector, "_PARTITIONS", [])
+    monkeypatch.setattr(vector, "_NEIGHBOURS", {"remove": {}, "add": {}})
+    fresh = [typed_items(box_operator(*call).terms) for call in calls]
+    assert len(vector._PARTITIONS) < 20
+    for m in range(9):
+        for lam in partitions(m, 4):
+            for part in ("add", "remove"):
+                box_operator(DiagramVector(None, {lam: 1}), (part, 1, 1), None)
+    filled = [typed_items(box_operator(*call).terms) for call in calls]
+    assert fresh == filled == shared
+    assert [same_as_walk(*call) for call in calls] == [True] * len(calls)
+
+
+def test_box_operator_fills_the_index_safely_from_threads(monkeypatch):
+    # more threads than cores fill a fresh index with the same partitions,
+    # started together, at a short switch interval; a lost update would map
+    # an index to the wrong partition
+    shapes = [lam for m in range(1, 12) for lam in partitions(m, 6)]
+    calls = [(DiagramVector(None, {lam: 1}), (part, 1, 1), None) for lam in shapes for part in ("add", "remove")]
+    failures = []
+
+    def work(start):
+        start.wait(timeout=60)
+        try:
+            failures.extend(call for call in calls if not same_as_walk(*call))
+        except Exception as exc:  # an error raised by a race fails the test, not just the thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(vector, "_INDEX", {})
+            monkeypatch.setattr(vector, "_PARTITIONS", [])
+            monkeypatch.setattr(vector, "_NEIGHBOURS", {"remove": {}, "add": {}})
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(start,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures
+            assert sorted(vector._INDEX.values()) == list(range(len(vector._PARTITIONS)))
+            assert all(vector._PARTITIONS[i] == lam for lam, i in vector._INDEX.items())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_box_operator_empty_and_cancelling():
