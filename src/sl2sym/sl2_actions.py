@@ -14,7 +14,7 @@ from .combinatorics import (
     partitions,
 )
 from .symfunc import SchurVector, elementary_schur, multiply, power_sum_schur, z_monomial_schur
-from .vector import _box_image, _divided, box_operator, op_constants
+from .vector import _divided, _walk, box_operator, op_constants
 
 
 class LowestWeightVector(NamedTuple):
@@ -231,19 +231,22 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     sl2-module, in which lowering is injective on positive weights.  Of
     those, the weights whose Cayley-Sylvester count is 0 are skipped, and
     each other weight must give exactly its count of kernel vectors, or
-    ArithmeticError is raised.  The images are the integer box sums of one
-    partition each, read from the process's neighbour table: the lowering
-    weights n + content are positive in the box, so no image has a zero
-    coefficient."""
+    ArithmeticError is raised.  Each image is walked afresh (`_walk`, no
+    partition index) and keyed by the rank of its target among the
+    partitions of m - 1 in the box, lexicographically increasing, so the
+    reduction runs over small ints and clears the same smallest partition
+    as over partition keys.  The lowering weights n + content are positive
+    in the box, so no image has a zero coefficient."""
     part, a, b = rho2_constants(n, d)["lower"]
     counts = _box_binomial(n, d)
-    out = []
+    out, domain = [], []
     for m in range(n * d // 2 + 1):
+        below, domain = domain, list(partitions(m, n, d))
         expected = counts[m] - counts[m - 1] if m else counts[0]
         if not expected:
             continue
-        domain = list(partitions(m, n, d))
-        kernel = rational_nullspace([_box_image(lam, part, a, b, n) for lam in domain])
+        rank = {mu: i for i, mu in enumerate(reversed(below))}
+        kernel = rational_nullspace(_walk(domain, part, rank.__getitem__, a, b))
         if len(kernel) != expected:
             raise ArithmeticError(f"weight {2 * m - n * d} of the {n} x {d} box has "
                                   f"{len(kernel)} kernel vectors, not {expected}")

@@ -177,26 +177,37 @@ def _index(lam: tuple) -> int:
     return i
 
 
+def _walk(lams, part: str, key, a: int, b: int) -> list:
+    """The library's one walk over the corners of a partition, which stores
+    nothing: for each partition of `lams`, {key(mu): a + b*content} over
+    its `part` neighbours mu, top to bottom, the "add" ones ending with the
+    cell in the new row below it.  One pass over its rows, each neighbour
+    built by changing one entry of a list of the rows."""
+    out = []
+    for lam in lams:
+        rows, cells, image = len(lam), list(lam), {}
+        if part == "remove":
+            for r, p in enumerate(lam):
+                if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
+                    cells[r] = p - 1
+                    image[key(tuple(cells) if p > 1 else lam[:r])] = a + b * (p - r - 1)
+                    cells[r] = p
+        else:
+            for r, p in enumerate(lam):
+                if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
+                    cells[r] = p + 1
+                    image[key(tuple(cells))] = a + b * (p - r)
+                    cells[r] = p
+            image[key(lam + (1,))] = a - b * rows
+        out.append(image)
+    return out
+
+
 def _neighbours(lam: tuple, part: str) -> tuple:
     """Walk `lam` and store its `part` neighbours in `_NEIGHBOURS`, keyed by
-    the indexed tuple: one pass over its rows, each neighbour built by
-    changing one entry of a list of the rows.  The library's one walk over
-    the corners of a partition."""
-    rows, cells, out = len(lam), list(lam), []
-    if part == "remove":
-        for r, p in enumerate(lam):
-            if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
-                cells[r] = p - 1
-                out.append((_index(tuple(cells) if p > 1 else lam[:r]), p - r - 1))
-                cells[r] = p
-    else:
-        for r, p in enumerate(lam):
-            if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
-                cells[r] = p + 1
-                out.append((_index(tuple(cells)), p - r))
-                cells[r] = p
-        out.append((_index(lam + (1,)), -rows))
-    out = _NEIGHBOURS[part][_PARTITIONS[_index(lam)]] = tuple(out)
+    the indexed tuple."""
+    (image,) = _walk((lam,), part, _index, 0, 1)
+    out = _NEIGHBOURS[part][_PARTITIONS[_index(lam)]] = tuple(image.items())
     return out
 
 
@@ -224,13 +235,6 @@ def _box_sums(terms: dict, part: str, a: int, b: int, row_bound, m: int = 1) -> 
         for i, w in nbrs:
             out[i] = get(i, 0) + c * (a + b * w)
     return out
-
-
-def _box_image(lam: tuple, part: str, a: int, b: int, row_bound) -> dict:
-    """`_box_sums` of the one partition `lam` with coefficient 1, keyed by
-    partitions: {mu: a + b*content}, zeros kept."""
-    parts = _PARTITIONS
-    return {parts[i]: x for i, x in _box_sums({lam: 1}, part, a, b, row_bound).items()}
 
 
 def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:

@@ -40,7 +40,7 @@ from sl2sym.exprlang import evaluate
 from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import content_product, standard_tableaux
 from sl2sym import vector
-from sl2sym.vector import _box_image, _divided, box_operator, canonical_coefficient
+from sl2sym.vector import _divided, _walk, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -245,15 +245,20 @@ def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeff
 
 
 def test_kernel_images_equal_box_image():
-    # the rho2 kernel images are the integer box sums of one partition: the
+    # the rho2 kernel images are the walk of each partition keyed by the
+    # rank of its target among the partitions one cell smaller, in
+    # lexicographically increasing order: mapped back to partitions, the
     # one-partition spec, in its order, with no zero weight in the box
     n, d = 4, 3
     lower = rho2_constants(n, d)["lower"]
     for m in range(n * d + 1):
-        for lam in partitions(m, n, d):
-            image = list(_box_image(lam, *lower, n).items())
-            assert image == box_image(lam, lower, n)
-            assert all(type(w) is int and w > 0 for _, w in image)
+        below = sorted(partitions(m - 1, n, d))
+        assert below == list(partitions(m - 1, n, d))[::-1]
+        rank = {mu: i for i, mu in enumerate(below)}
+        domain = list(partitions(m, n, d))
+        for lam, image in zip(domain, _walk(domain, lower[0], rank.__getitem__, *lower[1:]), strict=True):
+            assert [(below[i], w) for i, w in image.items()] == box_image(lam, lower, n)
+            assert all(type(w) is int and w > 0 for w in image.values())
 
 
 def box_sums_reference(terms, part, a, b, row_bound, m=1):

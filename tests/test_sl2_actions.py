@@ -4,10 +4,11 @@ from math import gcd, lcm
 
 import pytest
 
-from sl2sym import sl2_actions
+from sl2sym import sl2_actions, vector
 from sl2sym.combinatorics import gaussian_binomial, lw_counts, partitions
 from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
+    LowestWeightVector,
     act_rho1,
     act_rho1_named,
     act_rho2,
@@ -245,6 +246,40 @@ def test_lowest_weight_space_rho2_equals_all_weights_reference(n):
                 reference.append((2 * m - n * d, list(sv.terms.items())))
         lw = lowest_weight_space_rho2(n, d)
         assert repr([(weight, list(vec.terms.items())) for vec, weight in lw]) == repr(reference)
+
+
+def partition_keyed_kernel(n, d):
+    """`lowest_weight_space_rho2` over partition keys, as it was before its
+    rank keys: the images are one-partition `box_operator` calls, read from
+    the partition index, and the weights with no Cayley-Sylvester vector
+    are skipped."""
+    counts = gaussian_binomial(n + d, n)
+    out = []
+    for m in range(n * d // 2 + 1):
+        if counts[m] - (counts[m - 1] if m else 0):
+            domain, images = lowering_images(n, d, m)
+            for vec in rational_nullspace(images):
+                sv = SchurVector._wrap(n, {domain[j]: vec[j] for j in sorted(vec)})
+                out.append(LowestWeightVector(sv, 2 * m - n * d))
+    return out
+
+
+def test_lowest_weight_space_rho2_equals_partition_keyed_kernel():
+    # the rank-keyed levels give the same vectors, weights, order and
+    # coefficient types on every box with n, d <= 7 and nd <= 36
+    for n, d in [(n, d) for n in range(8) for d in range(8) if n * d <= 36]:
+        assert repr(lowest_weight_space_rho2(n, d)) == repr(partition_keyed_kernel(n, d)), (n, d)
+
+
+def test_lowest_weight_space_rho2_does_not_fill_the_partition_index(monkeypatch):
+    # a kernel walks each partition of its box once, so it keeps none of
+    # them in the box operator's index
+    monkeypatch.setattr(vector, "_INDEX", {})
+    monkeypatch.setattr(vector, "_PARTITIONS", [])
+    monkeypatch.setattr(vector, "_NEIGHBOURS", {"remove": {}, "add": {}})
+    assert len(lowest_weight_space_rho2(5, 6)) == 32
+    sizes = len(vector._INDEX), len(vector._PARTITIONS), {part: len(t) for part, t in vector._NEIGHBOURS.items()}
+    assert sizes == (0, 0, {"remove": 0, "add": 0})
 
 
 def first_key_nullspace(images):
