@@ -9,7 +9,6 @@ is exact over the rationals."""
 
 from .combinatorics import (
     alpha_tuples,
-    count_partitions_in_rectangle,
     gamma,
     gaussian_binomial,
     partitions,
@@ -41,11 +40,9 @@ from .symfunc import (
 from .sl2_actions import (
     LowestWeightVector,
     act_rho1,
-    act_rho1_named,
     act_rho2,
     character_finite,
     decompose_finite,
-    decompose_lambda_n,
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
     vd_realization,
@@ -75,14 +72,11 @@ __all__ = [
     "Poly",
     "SchurVector",
     "act_rho1",
-    "act_rho1_named",
     "act_rho2",
     "alpha_tuples",
     "alternant",
     "character_finite",
-    "count_partitions_in_rectangle",
     "decompose_finite",
-    "decompose_lambda_n",
     "elementary_poly",
     "elementary_schur",
     "evaluate",

@@ -1,8 +1,8 @@
 """Partitions and the counting formulas behind the sl2 decompositions:
-rectangle-bounded partition counts, Gaussian binomial coefficients, and
-the Cayley-Sylvester multiplicity formula."""
+Gaussian binomial coefficients, which count the partitions in a
+rectangle, and the Cayley-Sylvester multiplicity formula."""
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
@@ -53,20 +53,6 @@ def partitions(size: int, max_rows: int | None = None, max_part: int | None = No
             return
 
 
-@cache
-def count_partitions_in_rectangle(max_parts: int, max_part: int, size: int) -> int:
-    """Number of partitions of `size` with at most `max_parts` parts, each
-    part at most `max_part` (counted by largest part, memoized)."""
-    if size == 0:
-        return 1
-    if size < 0 or max_parts <= 0 or max_part <= 0:
-        return 0
-    return sum(
-        count_partitions_in_rectangle(max_parts - 1, j, size - j)
-        for j in range(1, min(max_part, size) + 1)
-    )
-
-
 def _divide_by_one_minus(coeffs: list[int], step: int) -> None:
     """Divide the power series `coeffs` by 1 - T^step in place, truncated
     to its length: one prefix sum along each residue class mod step."""
@@ -99,28 +85,35 @@ def gamma(a: int, n: int, i: int) -> int:
     i.e. the Gaussian binomial coefficient [a choose n] at T^i."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if a < n:
-        raise ValueError(f"need a >= n, got a={a}, n={n}")
-    if i < 0:
-        return 0
-    coeffs = gaussian_binomial(a, n)
-    return coeffs[i] if i < len(coeffs) else 0
+    coeffs = gaussian_binomial(a, n)  # raises unless a >= n
+    return coeffs[i] if 0 <= i < len(coeffs) else 0
+
+
+def _box_binomial(n: int, d: int) -> tuple[int, ...]:
+    """Coefficients of [n+d choose n]; the T^m one counts the partitions
+    of m in the n x d box."""
+    if n < 0 or d < 0:
+        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
+    return gaussian_binomial(n + d, n)
+
+
+def _cayley_sylvester(coeffs: tuple[int, ...], m: int) -> int:
+    """[T^m] - [T^(m-1)] of the n x d box binomial `coeffs`, for 2m <= nd:
+    the multiplicity of the irreducible of highest weight nd - 2m in the
+    box span, and its number of lowest-weight vectors of weight 2m - nd."""
+    return coeffs[m] - coeffs[m - 1] if m else coeffs[0]
 
 
 def sylvester_cayley(n: int, d: int, i: int) -> int:
     """Multiplicity of the highest weight i in the n-th symmetric power of
-    the standard (d+1)-dimensional module, as a difference of Gaussian
-    binomial coefficients.  Zero when i is negative (no highest weight is)
-    or when d*n - i is odd or negative."""
-    if n < 0 or d < 0:
-        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
+    the standard (d+1)-dimensional module, by the Cayley-Sylvester formula.
+    Zero when i is negative (no highest weight is) or when d*n - i is odd
+    or negative."""
+    coeffs = _box_binomial(n, d)
     t = d * n - i
     if i < 0 or t < 0 or t % 2:
         return 0
-    if n == 0:
-        return 1
-    half = t // 2
-    return gamma(d + n, n, half) - gamma(d + n, n, half - 1)
+    return _cayley_sylvester(coeffs, t // 2)
 
 
 def lw_counts(n: int, max_weight: int) -> list[int]:

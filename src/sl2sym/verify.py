@@ -9,17 +9,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial
 
-from .combinatorics import (
-    alpha_tuples,
-    count_partitions_in_rectangle,
-    gamma,
-    lw_counts,
-    partitions,
-    sylvester_cayley,
-)
+from .combinatorics import alpha_tuples, gamma, lw_counts, partitions, sylvester_cayley
 from .polyring import (
     Poly,
     poly_to_schur,
@@ -32,7 +26,6 @@ from .polyring import (
 )
 from .sl2_actions import (
     act_rho1,
-    act_rho1_named,
     act_rho2,
     character_finite,
     decompose_finite,
@@ -45,6 +38,7 @@ from .sl2_actions import (
 from .symfunc import (
     SchurVector,
     elementary_schur,
+    multiply,
     pieri_e1,
     power_sum_schur,
     z_generator_schur,
@@ -96,6 +90,21 @@ def _monomials(n, max_deg):
 
 def _partitions_up_to(max_size, max_rows, max_part=None):
     return [lam for m in range(max_size + 1) for lam in partitions(m, max_rows, max_part)]
+
+
+@cache
+def count_partitions_in_rectangle(max_parts: int, max_part: int, size: int) -> int:
+    """Number of partitions of `size` with at most `max_parts` parts, each
+    part at most `max_part` (counted by largest part, memoized): the
+    oracle for the Gaussian binomial coefficients."""
+    if size == 0:
+        return 1
+    if size < 0 or max_parts <= 0 or max_part <= 0:
+        return 0
+    return sum(
+        count_partitions_in_rectangle(max_parts - 1, j, size - j)
+        for j in range(1, min(max_part, size) + 1)
+    )
 
 
 def _tally(suite, name, unit, failures):
@@ -159,6 +168,47 @@ def suite_commutators():
 
 
 # --------------------------------------------------------------- schur-action
+
+
+def act_rho1_named(op: str, family: str, i: int, n: int) -> SchurVector:
+    """Closed-form image of p_i, e_i or h_i under the first action, returned
+    in the Schur basis.  The power-sum images follow the differential
+    operators: lower p_i = -i p_{i-1} (and -n for i = 1), raise p_i = i p_{i+1}."""
+    if i < 1:
+        raise ValueError("need index >= 1")
+    if family == "e":
+        if i > n:
+            raise ValueError(f"e_{i} undefined in {n} variables")
+        if op == "cartan":
+            return 2 * i * elementary_schur(i, n)
+        if op == "lower":
+            return -(n - (i - 1)) * elementary_schur(i - 1, n)
+        if op == "raise":
+            e1ei = multiply(elementary_schur(1, n), elementary_schur(i, n))
+            if i == n:
+                return e1ei
+            return e1ei - (i + 1) * elementary_schur(i + 1, n)
+    elif family == "h":
+        if op == "cartan":
+            return 2 * i * SchurVector.basis(n, (i,))
+        if op == "lower":
+            prev = SchurVector.basis(n, (i - 1,)) if i > 1 else SchurVector.unit(n)
+            return -(n + i - 1) * prev
+        if op == "raise":
+            h1hi = multiply(SchurVector.basis(n, (1,)), SchurVector.basis(n, (i,)))
+            return (i + 1) * SchurVector.basis(n, (i + 1,)) - h1hi
+    elif family == "p":
+        if op == "cartan":
+            return 2 * i * power_sum_schur(i, n)
+        if op == "lower":
+            if i == 1:
+                return -n * SchurVector.unit(n)
+            return -i * power_sum_schur(i - 1, n)
+        if op == "raise":
+            return i * power_sum_schur(i + 1, n)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def _families(n):

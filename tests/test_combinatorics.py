@@ -4,14 +4,15 @@ from sl2sym.combinatorics import (
     alpha_degree,
     alpha_tuples,
     check_partition,
-    count_partitions_in_rectangle,
     gamma,
     gaussian_binomial,
     lw_counts,
     partitions,
     sylvester_cayley,
 )
+from sl2sym.sl2_actions import decompose_finite
 from sl2sym.vector import box_operator
+from sl2sym.verify import count_partitions_in_rectangle
 from sl2sym.young import DiagramVector
 
 
@@ -116,19 +117,6 @@ def test_partitions_refuse_negative_bounds():
         list(partitions(3, 2, -1))
 
 
-def test_count_partitions_in_rectangle():
-    # oracle by direct enumeration
-    assert count_partitions_in_rectangle(2, 2, 2) == 2
-    for max_parts in range(5):
-        for max_part in range(5):
-            for size in range(9):
-                assert count_partitions_in_rectangle(max_parts, max_part, size) == len(
-                    list(partitions(size, max_parts, max_part))
-                )
-    assert count_partitions_in_rectangle(4, 5, 0) == 1
-    assert count_partitions_in_rectangle(3, 2, 7) == 0
-
-
 def test_gamma_examples():
     assert gamma(4, 2, 2) == 2
     assert gamma(4, 2, 0) == 1
@@ -190,9 +178,48 @@ def test_sylvester_cayley_dimension_identity():
             assert total == comb(n + d, n)
 
 
+def two_gamma_sylvester_cayley(n, d, i):
+    """The Cayley-Sylvester multiplicity as it was computed before the box
+    binomial was read once: two `gamma` lookups and their difference."""
+    if n < 0 or d < 0:
+        raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
+    t = d * n - i
+    if i < 0 or t < 0 or t % 2:
+        return 0
+    if n == 0:
+        return 1
+    half = t // 2
+    return gamma(d + n, n, half) - gamma(d + n, n, half - 1)
+
+
+def test_one_cayley_sylvester_site_equals_two_gamma_difference():
+    for n in range(10):
+        for d in range(10):
+            table = {i: two_gamma_sylvester_cayley(n, d, i) for i in range(-2, n * d + 3)}
+            assert table == {i: sylvester_cayley(n, d, i) for i in table}
+            decomp = decompose_finite(n, d)
+            assert decomp == {i: c for i, c in sorted(table.items(), reverse=True) if c}
+            assert list(decomp) == sorted(decomp, reverse=True)
+
+
+def test_count_partitions_in_rectangle():
+    # oracle by direct enumeration
+    assert count_partitions_in_rectangle(2, 2, 2) == 2
+    for max_parts in range(5):
+        for max_part in range(5):
+            for size in range(9):
+                assert count_partitions_in_rectangle(max_parts, max_part, size) == len(
+                    list(partitions(size, max_parts, max_part))
+                )
+    assert count_partitions_in_rectangle(4, 5, 0) == 1
+    assert count_partitions_in_rectangle(3, 2, 7) == 0
+
+
 def test_count_lw_solutions():
     assert lw_counts(3, 6)[6] == 2
     assert lw_counts(3, 1)[1] == 0
+    assert lw_counts(3, 10) == [1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2]
+    assert lw_counts(2, 7) == [1, 0, 1, 0, 1, 0, 1, 0]
     for n in range(2, 7):
         assert lw_counts(n, 0) == [1]
     # brute-force oracle: enumerate exponent tuples directly

@@ -1,9 +1,10 @@
 """The boundary between the engine and its reference oracles: no engine
 module imports the monomial world (`polyring`) or the verification suites
-(`verify`) when it is imported, and the CLI loads `verify` only for the
-`verify` command."""
+(`verify`) when it is imported, the CLI loads `verify` only for the
+`verify` command, and the helpers only the oracles use live in `verify`."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENGINE = ("vector", "combinatorics", "symfunc", "sl2_actions", "young", "exprlang", "cli")
 ORACLES = {"sl2sym.polyring", "sl2sym.verify"}
+ORACLE_ONLY = ("act_rho1_named", "count_partitions_in_rectangle")
+DELETED = ("decompose_lambda_n",)
 
 
 def import_time_imports(source: str) -> set:
@@ -60,6 +63,19 @@ def test_scanner_sees_every_import_form():
 def test_engine_module_imports_no_oracle(module):
     source = (SRC / "sl2sym" / f"{module}.py").read_text()
     assert not import_time_imports(source) & ORACLES
+
+
+@pytest.mark.parametrize("module", ("sl2sym",) + tuple(f"sl2sym.{m}" for m in ENGINE))
+def test_engine_module_binds_no_oracle_only_helper(module):
+    assert not set(vars(importlib.import_module(module))) & set(ORACLE_ONLY + DELETED)
+
+
+def test_verify_binds_the_oracle_only_helpers():
+    verify = importlib.import_module("sl2sym.verify")
+    for name in ORACLE_ONLY:
+        assert callable(getattr(verify, name))
+        assert getattr(verify, name).__module__ == "sl2sym.verify"
+    assert not set(vars(verify)) & set(DELETED)
 
 
 RUNTIME_CHECK = """

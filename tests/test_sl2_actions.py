@@ -10,11 +10,9 @@ from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
     LowestWeightVector,
     act_rho1,
-    act_rho1_named,
     act_rho2,
     character_finite,
     decompose_finite,
-    decompose_lambda_n,
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
     rational_nullspace,
@@ -29,7 +27,7 @@ from sl2sym.symfunc import (
     z_generator_schur,
 )
 from sl2sym.vector import _divided, box_operator
-from sl2sym.verify import peel_character
+from sl2sym.verify import act_rho1_named, peel_character
 
 
 def basis(n, lam):
@@ -132,14 +130,6 @@ def test_lowest_weight_basis_rho1():
             per_degree[weight // 2] = per_degree.get(weight // 2, 0) + 1
         for m, count in enumerate(lw_counts(n, 6)):
             assert per_degree.get(m, 0) == count
-
-
-def test_decompose_lambda_n():
-    table = decompose_lambda_n(3, 10)
-    assert table == {0: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 1, 8: 2, 9: 2, 10: 2}
-    assert decompose_lambda_n(2, 7) == {0: 1, 2: 1, 4: 1, 6: 1}
-    for n in (2, 3, 4, 5):
-        assert decompose_lambda_n(n, 0) == {0: 1}
 
 
 def box_character(n, d):
