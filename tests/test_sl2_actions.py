@@ -132,6 +132,15 @@ def test_lowest_weight_basis_rho1():
             assert per_degree.get(m, 0) == count
 
 
+def test_decompose_lambda_n():
+    # multiplicities c_i of the lowest-weight modules of weight 2i in the
+    # graded decomposition of Lambda_n, read from lw_counts
+    assert lw_counts(3, 10) == [1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2]
+    assert lw_counts(2, 7) == [1, 0, 1, 0, 1, 0, 1, 0]
+    for n in (2, 3, 4, 5):
+        assert lw_counts(n, 0) == [1]
+
+
 def box_character(n, d):
     """The box character by counting partitions in the n x d box, the
     slow oracle for the Gaussian-binomial character."""
