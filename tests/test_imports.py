@@ -1,7 +1,8 @@
 """The boundary between the engine and its reference oracles: no engine
 module imports the monomial world (`polyring`) or the verification suites
 (`verify`) when it is imported, the CLI loads `verify` only for the
-`verify` command, and the helpers only the oracles use live in `verify`."""
+`verify` command, the helpers only the oracles use live in `verify`, and
+the package root binds `Poly` alone of the monomial world's names."""
 
 import ast
 import importlib
@@ -17,8 +18,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENGINE = ("vector", "combinatorics", "symfunc", "sl2_actions", "young", "exprlang", "cli")
 ORACLES = {"sl2sym.polyring", "sl2sym.verify"}
-ORACLE_ONLY = ("act_rho1_named", "count_partitions_in_rectangle")
-DELETED = ("decompose_lambda_n",)
+ORACLE_ONLY = ("act_rho1_named", "count_partitions_in_rectangle", "vd_realization")
+DELETED = ("decompose_lambda_n", "xi_minus", "nabla", "pieri_e1", "pi_k", "zeta")
 
 
 def import_time_imports(source: str) -> set:
@@ -76,6 +77,16 @@ def test_verify_binds_the_oracle_only_helpers():
         assert callable(getattr(verify, name))
         assert getattr(verify, name).__module__ == "sl2sym.verify"
     assert not set(vars(verify)) & set(DELETED)
+
+
+def test_root_binds_only_poly_of_the_monomial_oracle():
+    import sl2sym
+    import sl2sym.polyring as polyring
+
+    own = {name for name, value in vars(polyring).items()
+           if getattr(value, "__module__", None) == "sl2sym.polyring"}
+    assert {"Poly", "schur_to_poly", "rho1_apply", "z_generator_poly"} <= own
+    assert own & set(vars(sl2sym)) == {"Poly"}
 
 
 RUNTIME_CHECK = """

@@ -17,7 +17,6 @@ from sl2sym.sl2_actions import (
     lowest_weight_space_rho2,
     rational_nullspace,
     rho2_constants,
-    vd_realization,
     weight_of_alpha,
 )
 from sl2sym.symfunc import (
@@ -27,7 +26,7 @@ from sl2sym.symfunc import (
     z_generator_schur,
 )
 from sl2sym.vector import _divided, box_operator
-from sl2sym.verify import act_rho1_named, peel_character
+from sl2sym.verify import act_rho1_named, peel_character, vd_realization
 
 
 def basis(n, lam):

@@ -16,11 +16,11 @@ from sl2sym.symfunc import (
     SchurVector,
     elementary_schur,
     multiply,
-    pieri_e1,
     power_sum_schur,
     z_generator_schur,
     z_monomial_schur,
 )
+from sl2sym.vector import box_operator
 
 
 def sv(n, terms):
@@ -122,6 +122,10 @@ def test_multiply_commutative_associative():
 
 
 def test_pieri_e1():
+    # multiplication by s_(1) is the box operator add (1, 0) within n rows
+    def pieri_e1(v):
+        return box_operator(v, ("add", 1, 0), v.n)
+
     assert pieri_e1(SchurVector.basis(3, (2, 1))) == sv(
         3, {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
     )

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sl2sym.combinatorics import partitions
-from sl2sym.symfunc import SchurVector, power_sum_schur, z_generator_schur, z_monomial_schur
+from sl2sym.symfunc import SchurVector, z_monomial_schur
 from sl2sym.verify import _transported
 from sl2sym.vector import box_operator
 from sl2sym.young import (
@@ -11,13 +11,9 @@ from sl2sym.young import (
     KerovParams,
     hat_apply,
     kerov_apply,
-    nabla,
     phi,
     phi_inverse,
-    pi_k,
     tilde_apply,
-    xi_minus,
-    zeta,
 )
 
 
@@ -30,26 +26,10 @@ def test_diagram_vector_invariants():
     assert v.terms == {(2, 1): 1}
     with pytest.raises(ValueError):
         dv({(1, 1, 1): 1}, bound=2)
+    with pytest.raises(ValueError, match=r"diagram \(2, 2, 1\) has more than 2 rows"):
+        DiagramVector.basis((2, 2, 1), 2)
     with pytest.raises(ValueError):
         dv({(2, 1): 1}, bound=2) + dv({(1,): 1}, bound=3)
-
-
-def test_xi_minus():
-    assert xi_minus((2, 1)).terms == {(1, 1): Fraction(1), (2,): Fraction(1)}
-    assert xi_minus(()).terms == {}
-
-
-def test_nabla():
-    plus = nabla("+", (2, 1), 3)
-    assert plus.terms == {(3, 1): Fraction(2), (2, 1, 1): Fraction(-2)}
-    assert nabla("-", (), 4).terms == {}
-    assert nabla("-", (2, 1)).terms == {(1, 1): Fraction(1), (2,): Fraction(-1)}
-    with pytest.raises(ValueError):
-        nabla("*", (1,), 2)
-    # the input, not only the image, must keep within the row bound
-    for sign in "+-":
-        with pytest.raises(ValueError, match=r"diagram \(2, 2, 1\) has more than 2 rows"):
-            nabla(sign, (2, 2, 1), 2)
 
 
 def test_hat_apply_examples():
@@ -160,22 +140,6 @@ def test_relabelling_shares_terms_and_nothing_mutates_them():
     # lower s = -(n + content) s' on each removable cell: 2*(-4) - 1/3*(-2)
     assert hat_apply("lower", phi_inverse(u), 3) == dv({(1,): Fraction(-22, 3)}, bound=3)
     assert all(v.terms == terms for v, terms in before)
-
-
-def test_pi_k():
-    assert pi_k(3, 3) == dv({(3,): 1, (2, 1): -1, (1, 1, 1): 1}, bound=3)
-    assert pi_k(1, 4) == dv({(1,): 1}, bound=4)
-    assert pi_k(3, 2) == dv({(3,): 1, (2, 1): -1}, bound=2)
-    for n in (1, 2, 3, 4):
-        for k in range(1, 7):
-            assert phi(pi_k(k, n)) == power_sum_schur(k, n)
-
-
-def test_zeta():
-    for n in (2, 3, 4):
-        for i in range(2, n + 1):
-            assert phi(zeta(i, n)) == z_generator_schur(i, n)
-    assert hat_apply("lower", zeta(2, 3), 3) == DiagramVector.zero(3)
 
 
 def test_transported_kernel_monomials_annihilated():
