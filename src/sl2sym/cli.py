@@ -140,12 +140,13 @@ def _cmd_kernel(args) -> str:
         max_degree = 6 if args.max_degree is None else args.max_degree
         vectors = lowest_weight_basis_rho1(args.n, max_degree)
 
+    # rho2 kernel vectors are built in canonical order; rho1's come from multiply
+    items = [(weight, vec.terms.items() if args.rep == "rho2" else vec.sorted_terms())
+             for vec, weight in vectors]
     if not args.json:
-        lines = [f"weight {weight}: {format_terms(vec.sorted_terms(), 's')}" for vec, weight in vectors]
+        lines = [f"weight {weight}: {format_terms(terms, 's')}" for weight, terms in items]
         return "\n".join(lines) if lines else "0"
-    json_vectors = [
-        {"weight": weight, "terms": _terms_json(vec.sorted_terms())} for vec, weight in vectors
-    ]
+    json_vectors = [{"weight": weight, "terms": _terms_json(terms)} for weight, terms in items]
     inputs = {"rep": args.rep, "n": args.n}
     if args.rep == "rho2":
         inputs["d"] = args.d

@@ -173,7 +173,10 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     partitions of m - 1 in the box, lexicographically increasing, so the
     reduction runs over small ints and clears the same smallest partition
     as over partition keys.  The lowering weights n + content are positive
-    in the box, so no image has a zero coefficient."""
+    in the box, so no image has a zero coefficient.  Each vector's terms
+    are in canonical order as built (`sorted_terms` gives the same list):
+    its keys all have one size and come in the domain's lexicographically
+    decreasing order."""
     part, a, b = rho2_constants(n, d)["lower"]
     counts = _box_binomial(n, d)
     out, domain = [], []

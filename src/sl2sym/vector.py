@@ -4,7 +4,7 @@ their transports, the Kerov operators and Pieri's rule are that operator
 with different constants."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 from threading import Lock
 
@@ -18,20 +18,39 @@ def canonical_order(terms: dict) -> list:
 
 def canonical_coefficient(c):
     """`c` as a canonical coefficient: an int if it is integral, otherwise
-    a reduced Fraction."""
+    a reduced Fraction.  A float raises TypeError: its binary value is not
+    the decimal number that was meant."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"float {c!r} is not an exact coefficient: use an int, a Fraction or a Decimal")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
+def _fraction(x: int, den: int) -> Fraction:
+    """Fraction(x, den) for ints x and den != 0, built without the public
+    constructor and its type checks: reduced by the gcd, the sign on the
+    numerator, the two slots of Fraction (`_numerator`, `_denominator`, on
+    every CPython from 3.6 to 3.13) filled directly, as CPython's own
+    `Fraction._from_coprime_ints` does on 3.12 and later."""
+    g = gcd(x, den)
+    if den < 0:
+        g = -g
+    out = object.__new__(Fraction)
+    out._numerator = x // g
+    out._denominator = den // g
+    return out
+
+
 def _divided(sums: dict, den: int) -> dict:
-    """Integer `sums` over one denominator `den` as canonical coefficients:
-    zeros dropped, an int where `den` divides a sum, else a reduced Fraction."""
+    """Integer `sums` over one denominator `den` (of either sign) as
+    canonical coefficients: zeros dropped, an int where `den` divides a sum,
+    else a reduced Fraction."""
     if den == 1:
         return {key: x for key, x in sums.items() if x}
-    return {key: x // den if not x % den else Fraction(x, den) for key, x in sums.items() if x}
+    return {key: x // den if not x % den else _fraction(x, den) for key, x in sums.items() if x}
 
 
 class SparseVector:
@@ -54,7 +73,10 @@ class SparseVector:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = canonical_coefficient(c)
+                try:
+                    c = canonical_coefficient(c)
+                except TypeError as exc:
+                    raise TypeError(f"coefficient of {key!r}: {exc}") from None
                 if c:
                     clean[self._check_key(key)] = c
         self.terms = clean
@@ -242,18 +264,25 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     ambient `row_bound`.  `constants` (part, a, b) sends lam to lam less each
     removable cell ("remove") or plus each cell addable within `row_bound`
     rows (None: unbounded) ("add"), top to bottom, weighted a + b*content, or
-    to lam weighted a + b*|lam| ("diagonal").  Sums run over integers on one
-    common denominator (`_box_sums`), divided out once per term."""
+    to lam weighted a + b*|lam| ("diagonal").  The constants are scaled to
+    integers over k, the lcm of their denominators.  A diagonal term is
+    divided on its own: c.numerator * (a + b*|lam|) over c.denominator * k.
+    The other parts sum over integers on one common denominator
+    (`_box_sums`), divided out once per term."""
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
-    m = lcm(*[c.denominator for c in v.terms.values()])
-    a, b, den = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator), k * m
+    a, b = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator)
     if part == "diagonal":
-        return v._wrap(row_bound, _divided({
-            lam: (c if m == 1 else c.numerator * (m // c.denominator)) * (a + b * sum(lam))
-            for lam, c in v.terms.items()}, den))
-    sums, parts = _box_sums(v.terms, part, a, b, row_bound, m), _PARTITIONS
+        out = {}
+        for lam, c in v.terms.items():
+            x = c.numerator * (a + b * sum(lam))
+            if x:
+                den = c.denominator * k
+                out[lam] = x // den if not x % den else _fraction(x, den)
+        return v._wrap(row_bound, out)
+    m = lcm(*[c.denominator for c in v.terms.values()])
+    sums, parts, den = _box_sums(v.terms, part, a, b, row_bound, m), _PARTITIONS, k * m
     if den == 1:
         return v._wrap(row_bound, {parts[i]: x for i, x in sums.items() if x})
-    return v._wrap(row_bound, {parts[i]: x // den if not x % den else Fraction(x, den)
+    return v._wrap(row_bound, {parts[i]: x // den if not x % den else _fraction(x, den)
                                for i, x in sums.items() if x})

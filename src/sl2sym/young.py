@@ -75,7 +75,8 @@ def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
 def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector:
     """Kerov operators U, L, D on unbounded diagrams (see kerov_constants).
     Application is exact for any finite vector."""
-    table = kerov_constants(Fraction(params.z), Fraction(params.zprime))
+    z, zprime = (c if type(c) is Fraction else Fraction(c) for c in params)
+    table = kerov_constants(z, zprime)
     return box_operator(v, op_constants(table, op), None)
 
 

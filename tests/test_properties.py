@@ -8,17 +8,21 @@ box operator against its Fraction-by-Fraction sum over the one-partition
 spec `box_image` (values and term order) and against the corner walk run
 afresh on every term, as before the partition index (values, types, term
 order and errors, also after unrelated calls or other threads have filled
-the index), the rho2 kernel images against that spec, and the canonical
-coefficients (int when integral) of every closed operation.  Also the
+the index), the rho2 kernel images against that spec, the canonical
+coefficients (int when integral, Fractions in lowest terms) of every
+closed operation, and the box operator's Fraction builder `_fraction`
+against the public constructor.  Also the
 exact sparse kernel against sympy's on random sparse rational matrices,
 the dimension identity of one large finite decomposition, the closed
 forms of Kerov's U^m and D^m, and both actions as Kerov operators at
 their parameter points, cut to n rows."""
 
+import operator
+import pickle
 import sys
 import threading
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, floor, lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -40,7 +44,7 @@ from sl2sym.exprlang import evaluate
 from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import content_product, standard_tableaux
 from sl2sym import vector
-from sl2sym.vector import _divided, _walk, box_operator, canonical_coefficient
+from sl2sym.vector import _divided, _fraction, _walk, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -51,7 +55,7 @@ from sl2sym.young import (
     tilde_apply,
 )
 
-from test_vector import is_canonical
+from test_vector import assert_canonical
 from test_young import transported
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -154,9 +158,9 @@ def test_transported_actions_equal_explicit_formulas(data, op):
     assert hat_apply(op, v, n).terms == transported(op, v, n)
     if d is not None:
         assert tilde_apply(op, v, n, d).terms == transported(op, v, n, d)
-    assert is_canonical(hat_apply(op, v, n))
+    assert_canonical(hat_apply(op, v, n))
     if d is not None:
-        assert is_canonical(tilde_apply(op, v, n, d))
+        assert_canonical(tilde_apply(op, v, n, d))
 
 
 @st.composite
@@ -206,6 +210,36 @@ def box_operator_reference(v, constants, row_bound):
     return {mu: c for mu, c in out.items() if c}
 
 
+big_ints = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
+
+
+@given(x=big_ints, den=big_ints.filter(bool), multiple=st.booleans(), other=rationals)
+@example(x=-1, den=-2, multiple=False, other=Fraction(1, 3))
+@example(x=3, den=-6, multiple=False, other=Fraction(0))
+@example(x=-2, den=-1, multiple=True, other=Fraction(-1, 2))
+@example(x=0, den=-5, multiple=False, other=Fraction(2))
+@settings(max_examples=300, deadline=None)
+def test_fraction_helper_equals_constructor(x, den, multiple, other):
+    # den of both signs, x a multiple of den (an integral result) or not
+    if multiple:
+        x *= den
+    got, expected = _fraction(x, den), Fraction(x, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert hash(got) == hash(expected) and str(got) == str(expected) and repr(got) == repr(expected)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is Fraction and (back.numerator, back.denominator) == (got.numerator, got.denominator)
+    assert got == expected and not got != expected and {got: 1} == {expected: 1}
+    for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.eq):
+        for y in (other, 3):
+            assert op(got, y) == op(expected, y) and op(y, got) == op(y, expected)
+    if got:
+        assert other / got == other / expected and 7 // got == 7 // expected
+    assert -got == -expected and abs(got) == abs(expected) and got ** 2 == expected ** 2
+    assert floor(got) == floor(expected) and round(got) == round(expected) and int(got) == int(expected)
+
+
 constants_part = st.one_of(
     st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
 )
@@ -231,7 +265,7 @@ def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeff
     reference = box_operator_reference(v, (part, a, b), row_bound)
     assert out.terms == reference
     assert list(out.terms) == list(reference)
-    assert is_canonical(out)
+    assert_canonical(out)
 
 
 def test_kernel_images_equal_box_image():
@@ -303,14 +337,18 @@ def typed_items(terms):
 
 def same_as_walk(v, constants, row_bound):
     """box_operator and the reference walk agree on v: the same terms, term
-    order and coefficient types, or the same ValueError text."""
+    order and coefficient types, or the same ValueError text.  The result
+    is checked canonical, which the reference, dividing by the same
+    `_divided`, cannot check."""
     try:
         expected = box_operator_walk_reference(v, constants, row_bound)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
             box_operator(v, constants, row_bound)
         return str(info.value) == str(exc)
-    return typed_items(box_operator(v, constants, row_bound).terms) == typed_items(expected)
+    out = box_operator(v, constants, row_bound)
+    assert_canonical(out)
+    return typed_items(out.terms) == typed_items(expected)
 
 
 mixed_coefficients = st.one_of(st.integers(-9, 9), rationals)
@@ -447,7 +485,7 @@ def test_closed_operations_keep_coefficients_canonical(data, other, z, zprime, k
     params = KerovParams(z, zprime)
     results += [kerov_apply(op, free, params) for op in "ULD"]
     for res in results:
-        assert is_canonical(res), res
+        assert_canonical(res)
 
 
 @given(pair=basis_pairs())
@@ -512,6 +550,7 @@ def test_multiply_equals_fraction_reference(data):
     out = multiply(u, v)
     assert type(out) is SchurVector and out.n == n
     assert exact_terms(out) == exact_terms(multiply_reference(u, v))
+    assert_canonical(out)
 
 
 @st.composite
@@ -577,7 +616,8 @@ def test_nullspace_equals_sympy(sympy, data):
         for vec in sympy.Matrix(rows).nullspace()
     ]
     assert kernel == expected
-    assert all(type(c) is int or c.denominator != 1 for vec in kernel for c in vec.values())
+    for vec in kernel:
+        assert_canonical(vec)
 
 
 def test_large_decomposition_dimension_identity():

@@ -205,6 +205,14 @@ def test_lowest_weight_space_rho2_is_pinned(n, d, count, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+def test_lowest_weight_space_rho2_terms_are_in_canonical_order():
+    # the CLI prints rho2 kernel vectors in the order their terms are built
+    for n in range(1, 7):
+        for d in range(7):
+            for vec, _ in lowest_weight_space_rho2(n, d):
+                assert list(vec.terms.items()) == vec.sorted_terms()
+
+
 def lowering_images(n, d, m):
     lower = rho2_constants(n, d)["lower"]
     domain = list(partitions(m, n, d))

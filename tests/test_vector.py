@@ -1,4 +1,6 @@
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,19 +26,23 @@ def test_ambient_attributes():
     assert not hasattr(SchurVector(3), "row_bound")
 
 
-def is_canonical(v) -> bool:
-    """Every coefficient of `v` is a nonzero int or a non-integral Fraction."""
-    return all(
-        c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
-        for c in v.terms.values()
-    )
+def assert_canonical(v) -> None:
+    """Every coefficient of `v`, a vector or a {key: coefficient} dict, is a
+    nonzero int, or a Fraction with denominator > 1 coprime to its numerator."""
+    for key, c in getattr(v, "terms", v).items():
+        if type(c) is int:
+            assert c, (key, c)
+        else:
+            assert type(c) is Fraction, (key, c)
+            assert c.denominator > 1 and gcd(c.numerator, c.denominator) == 1, (key, c.numerator, c.denominator)
 
 
 def test_closed_results_drop_zeros_and_stay_canonical():
     v = SchurVector(3, {(2, 1): Fraction(1, 2), (1,): 3})
     assert (v - v).terms == {} and not v * 0 and not -v + v
     for w in (v + v, -v, 2 * v, v * Fraction(2, 3), v ** 2, act_rho1("raise", v)):
-        assert w and is_canonical(w)
+        assert w
+        assert_canonical(w)
     assert (v + v).terms == {(2, 1): 1, (1,): 6} and type((v + v).terms[(2, 1)]) is int
     assert v ** 0 == SchurVector.unit(3) and type((v ** 0).terms[()]) is int
     assert Poly.variable(2, 1) ** 0 == Poly.constant(2, 1)
@@ -50,12 +56,31 @@ def test_canonical_coefficient_boundaries():
     s = SchurVector(3, {(2, 1): 1, (1,): 3})
     halves = s * Fraction(1, 2) + s * Fraction(1, 2)
     assert halves == s and all(type(c) is int for c in halves.terms.values())
-    assert is_canonical(s * Fraction(1, 2)) and (s * Fraction(1, 2)).terms[(2, 1)] == Fraction(1, 2)
+    assert_canonical(s * Fraction(1, 2))
+    assert (s * Fraction(1, 2)).terms[(2, 1)] == Fraction(1, 2)
     # U adds a box with weight z + content: 2*y[1] -> 3*y[2] - y[1,1] and
     # y[2] -> 5/2*y[3] - 1/2*y[2,1]
     image = kerov_apply("U", DiagramVector(None, {(1,): 2, (2,): 1}), KerovParams(Fraction(1, 2), 0))
     assert image.terms == {(2,): 3, (1, 1): -1, (3,): Fraction(5, 2), (2, 1): Fraction(-1, 2)}
-    assert type(image.terms[(2,)]) is int and type(image.terms[(1, 1)]) is int and is_canonical(image)
+    assert type(image.terms[(2,)]) is int and type(image.terms[(1, 1)]) is int
+    assert_canonical(image)
+
+
+def test_float_coefficients_raise():
+    # 0.1 is not 1/10 in binary, so a float is refused by name, not stored
+    for make in (lambda: SchurVector(3, {(2,): 1, (1,): 0.1}),
+                 lambda: DiagramVector(None, {(1,): 0.5}),
+                 lambda: Poly(2, {(1, 0): -2.0})):
+        with pytest.raises(TypeError, match=r"^coefficient of \((1|1, 0),?\): float"):
+            make()
+    v = SchurVector(3, {(1,): 1})
+    for product in (lambda: v * 0.5, lambda: 0.5 * v):
+        with pytest.raises(TypeError):
+            product()
+    exact = SchurVector(3, {(1,): Decimal("0.1"), (2,): True, (3,): Fraction(6, 4), (): 2})
+    assert exact.terms == {(1,): Fraction(1, 10), (2,): 1, (3,): Fraction(3, 2), (): 2}
+    assert type(exact.terms[(2,)]) is int
+    assert_canonical(exact)
 
 
 def test_checked_constructor():
