@@ -4,6 +4,7 @@ human-readable text by default; --json emits a machine-readable document
 with deterministic field and term order."""
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,19 +21,23 @@ from .sl2_actions import (
 from .combinatorics import lw_counts
 from .young import KerovParams, hat_apply, kerov_apply, tilde_apply
 
-REP_OPS = {
-    "rho1": ("raise", "lower", "cartan"),
-    "rho2": ("raise", "lower", "cartan"),
-    "hat": ("raise", "lower", "cartan"),
-    "tilde": ("raise", "lower", "cartan"),
-    "kerov": ("U", "L", "D"),
-}
+
+def _digits_unlimited(fn):
+    """`fn` run with CPython's limit on the digits of an int-to-str
+    conversion (3.10.7 and later) lifted, then restored: exact coefficients
+    print at any length, while integer literals in the input stay bounded."""
+    @functools.wraps(fn)
+    def wrapper(*args):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return wrapper if hasattr(sys, "set_int_max_str_digits") else fn
 
 
-class CliError(Exception):
-    pass
-
-
+@_digits_unlimited
 def format_terms(items, letter: str) -> str:
     """Render sorted (partition, coefficient) pairs like '-4*s[1,1] - 2*s[2]',
     each coefficient from its integer numerator and denominator."""
@@ -55,109 +60,91 @@ def format_terms(items, letter: str) -> str:
     return "".join(out)
 
 
+@_digits_unlimited
 def _terms_json(items):
-    return [
-        {"coefficient": str(c), "partition": list(lam)}
-        for lam, c in items
-    ]
+    return [{"coefficient": str(c), "partition": list(lam)} for lam, c in items]
 
 
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational {text!r}: {exc}")
+        raise ValueError(f"bad rational {text!r}: {exc}")
 
 
-def _refuse_flags(args, rep, flags):
-    """Refuse each of `flags` that was given, since representation `rep`
-    does not read it."""
+def _read_flags(args, reads: dict, flags) -> dict:
+    """The flags that representation args.rep reads, by name: `reads` maps
+    each to its default, None for a required flag.  Any other of `flags`
+    that was given is refused."""
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            if default is None:
+                raise ValueError(f"--{flag.replace('_', '-')} is required for representation {args.rep!r}")
+            setattr(args, flag, default)
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise CliError(f"{flag} does not apply to representation {rep!r}")
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to representation {args.rep!r}")
+    return {flag: getattr(args, flag) for flag in reads}
+
+
+# rep -> (flags it reads, basis of its expressions, operators, call).  Each call
+# looks the library up in this module's globals when it runs, so a function
+# rebound here after import (as by a tracer) is the one used.
+_SL2 = ("raise", "lower", "cartan")
+_ACT = {
+    "rho1": ({}, "schur", _SL2, lambda op, v, args: act_rho1(op, v)),
+    "rho2": ({"d": None}, "schur", _SL2, lambda op, v, args: act_rho2(op, v, args.d)),
+    "hat": ({}, "diagram", _SL2, lambda op, v, args: hat_apply(op, v, args.n)),
+    "tilde": ({"d": None}, "diagram", _SL2, lambda op, v, args: tilde_apply(op, v, args.n, args.d)),
+    "kerov": ({"z": None, "zprime": None}, "diagram", ("U", "L", "D"), lambda op, v, args: kerov_apply(
+        op, v, KerovParams(_parse_fraction(args.z), _parse_fraction(args.zprime)))),
+}
+# rep -> (flags it reads, call, whether its vectors are built in canonical order)
+_KERNEL = {
+    "rho1": ({"max_degree": 6}, lambda args: lowest_weight_basis_rho1(args.n, args.max_degree), False),
+    "rho2": ({"d": None}, lambda args: lowest_weight_space_rho2(args.n, args.d), True),
+}
 
 
 def _cmd_act(args) -> str:
-    rep = args.rep
-    op = args.op
-    if op not in REP_OPS[rep]:
-        raise CliError(f"operator {op!r} is not valid for representation {rep!r}")
-    if rep in ("rho2", "tilde") and args.d is None:
-        raise CliError(f"--d is required for representation {rep!r}")
-    if rep == "kerov" and (args.z is None or args.zprime is None):
-        raise CliError("--z and --zprime are required for the Kerov operators")
-    unused = [] if rep in ("rho2", "tilde") else ["--d"]
-    if rep != "kerov":
-        unused += ["--z", "--zprime"]
-    _refuse_flags(args, rep, unused)
+    reads, basis, ops, call = _ACT[args.rep]
+    if args.op not in ops:
+        raise ValueError(f"operator {args.op!r} is not valid for representation {args.rep!r}")
+    flags = _read_flags(args, reads, ("d", "z", "zprime"))
     if args.n < 0:
-        raise CliError(f"--n must be >= 0, got {args.n}")
-
-    mode = "schur" if rep in ("rho1", "rho2") else "diagram"
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     tree = parse(args.expr)
     # The Kerov operators act on unbounded diagrams, so their input is
     # evaluated with a row for every box: no product is truncated.
-    rows = max(args.n, degree(tree)) if rep == "kerov" else args.n
-    vec = evaluate(tree, rows, mode)
-
-    if rep == "rho1":
-        out = act_rho1(op, vec)
-    elif rep == "rho2":
-        out = act_rho2(op, vec, args.d)
-    elif rep == "hat":
-        out = hat_apply(op, vec, args.n)
-    elif rep == "tilde":
-        out = tilde_apply(op, vec, args.n, args.d)
-    else:
-        params = KerovParams(_parse_fraction(args.z), _parse_fraction(args.zprime))
-        out = kerov_apply(op, vec, params)
-
+    rows = max(args.n, degree(tree)) if args.rep == "kerov" else args.n
+    out = call(args.op, evaluate(tree, rows, basis), args)
     items = out.sorted_terms()
     if not args.json:
-        return format_terms(items, "s" if mode == "schur" else "y")
-    inputs = {"rep": rep, "op": op, "n": args.n, "expr": args.expr}
-    doc = {"basis": mode, "n": args.n}
+        return format_terms(items, out.LETTER)
+    doc = {"basis": basis, "n": args.n}
     if args.d is not None:
         doc["d"] = args.d
-        inputs["d"] = args.d
-    if rep == "kerov":
-        inputs["z"] = args.z
-        inputs["zprime"] = args.zprime
     doc["terms"] = _terms_json(items)
+    inputs = {"rep": args.rep, "op": args.op, "n": args.n, "expr": args.expr, **flags}
     doc["metadata"] = {"command": "act", "inputs": inputs}
     return json.dumps(doc)
 
 
 def _cmd_kernel(args) -> str:
-    _refuse_flags(args, args.rep, ["--max-degree"] if args.rep == "rho2" else ["--d"])
-    if args.rep == "rho2":
-        if args.d is None:
-            raise CliError("--d is required for the second representation")
-        vectors = lowest_weight_space_rho2(args.n, args.d)
-    else:
-        if args.n < 2:
-            raise CliError("the infinite kernel needs n >= 2")
-        max_degree = 6 if args.max_degree is None else args.max_degree
-        vectors = lowest_weight_basis_rho1(args.n, max_degree)
-
-    # rho2 kernel vectors are built in canonical order; rho1's come from multiply
-    items = [(weight, vec.terms.items() if args.rep == "rho2" else vec.sorted_terms())
-             for vec, weight in vectors]
+    reads, call, canonical = _KERNEL[args.rep]
+    flags = _read_flags(args, reads, ("d", "max_degree"))
+    items = [(weight, vec.terms.items() if canonical else vec.sorted_terms())
+             for vec, weight in call(args)]
     if not args.json:
         lines = [f"weight {weight}: {format_terms(terms, 's')}" for weight, terms in items]
         return "\n".join(lines) if lines else "0"
-    json_vectors = [{"weight": weight, "terms": _terms_json(terms)} for weight, terms in items]
-    inputs = {"rep": args.rep, "n": args.n}
-    if args.rep == "rho2":
-        inputs["d"] = args.d
-    else:
-        inputs["max_degree"] = max_degree
-    return json.dumps({"command": "kernel", "inputs": inputs, "vectors": json_vectors})
+    vectors = [{"weight": weight, "terms": _terms_json(terms)} for weight, terms in items]
+    return json.dumps({"command": "kernel", "inputs": {"rep": args.rep, "n": args.n, **flags}, "vectors": vectors})
 
 
 def _cmd_decompose(args) -> str:
     if (args.d is None) == (args.max_weight is None):
-        raise CliError("decompose needs exactly one of --d or --max-weight")
+        raise ValueError("decompose needs exactly one of --d or --max-weight")
     if args.d is not None:
         entries = sorted(decompose_finite(args.n, args.d).items())
         if not args.json:
@@ -211,59 +198,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact sl2-actions on symmetric polynomials and Young diagrams",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", required=True, type=int)
+    common.add_argument("--json", action="store_true")
 
-    act = sub.add_parser("act", help="apply an operator to an expression")
-    act.add_argument("--rep", required=True, choices=sorted(REP_OPS))
-    act.add_argument("--op", required=True,
-                     choices=("raise", "lower", "cartan", "U", "L", "D"))
-    act.add_argument("--n", required=True, type=int)
+    act = sub.add_parser("act", parents=[common], help="apply an operator to an expression")
+    act.add_argument("--rep", required=True, choices=sorted(_ACT))
+    act.add_argument("--op", required=True, choices=list(dict.fromkeys(
+        op for _, _, ops, _ in _ACT.values() for op in ops)))
     act.add_argument("--d", type=int)
     act.add_argument("--z")
     act.add_argument("--zprime")
     act.add_argument("--expr", required=True)
-    act.add_argument("--json", action="store_true")
+    act.set_defaults(handler=_cmd_act)
 
-    kernel = sub.add_parser("kernel", help="lowest-weight vectors with weights")
-    kernel.add_argument("--rep", required=True, choices=("rho1", "rho2"))
-    kernel.add_argument("--n", required=True, type=int)
+    kernel = sub.add_parser("kernel", parents=[common], help="lowest-weight vectors with weights")
+    kernel.add_argument("--rep", required=True, choices=sorted(_KERNEL))
     kernel.add_argument("--d", type=int)
     kernel.add_argument("--max-degree", type=int)
-    kernel.add_argument("--json", action="store_true")
+    kernel.set_defaults(handler=_cmd_kernel)
 
-    dec = sub.add_parser("decompose", help="irreducible multiplicity table")
-    dec.add_argument("--n", required=True, type=int)
+    dec = sub.add_parser("decompose", parents=[common], help="irreducible multiplicity table")
     dec.add_argument("--d", type=int)
     dec.add_argument("--max-weight", type=int)
-    dec.add_argument("--json", action="store_true")
+    dec.set_defaults(handler=_cmd_decompose)
 
-    char = sub.add_parser("character", help="weight exponent/multiplicity table")
-    char.add_argument("--n", required=True, type=int)
+    char = sub.add_parser("character", parents=[common], help="weight exponent/multiplicity table")
     char.add_argument("--d", required=True, type=int)
-    char.add_argument("--json", action="store_true")
+    char.set_defaults(handler=_cmd_character)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True, help="a suite name, or all")
+    ver.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "act":
-            out = _cmd_act(args)
-        elif args.command == "kernel":
-            out = _cmd_kernel(args)
-        elif args.command == "decompose":
-            out = _cmd_decompose(args)
-        else:
-            out = _cmd_character(args)
-    except (CliError, ParseError, EvalError, ValueError, ArithmeticError, RecursionError) as exc:
+        out = args.handler(args)
+    except (ParseError, EvalError, ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(out, int):  # verify printed its report
+        return out
     print(out)
     return 0
 

@@ -3,6 +3,7 @@ lowest-weight (kernel) computation, the decomposition into irreducibles and
 the characters."""
 
 from math import gcd, lcm
+from operator import index
 from typing import NamedTuple
 
 from .combinatorics import _box_binomial, _cayley_sylvester, alpha_degree, alpha_tuples, partitions
@@ -36,7 +37,7 @@ def rho2_constants(n: int, d: int) -> dict:
     Kerov's (-U, D, L) at (z, z') = (-d, n), cut to n rows.  Raising has
     weight d - content, 0 at the corner in column d+1, so the column bound
     is preserved."""
-    if n < 0 or d < 0:
+    if index(n) < 0 or index(d) < 0:
         raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     kerov = kerov_constants(-d, n)
     part, a, b = kerov["U"]

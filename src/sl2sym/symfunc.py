@@ -5,6 +5,7 @@ that check them live in `polyring`."""
 
 from functools import lru_cache
 from math import comb, lcm
+from operator import index
 
 from .combinatorics import Partition, check_partition
 from .vector import SparseVector, _divided
@@ -20,7 +21,7 @@ class SchurVector(SparseVector):
     n = property(lambda self: self.ambient)
 
     def _check_ambient(self, n):
-        if n < 0:
+        if index(n) < 0:
             raise ValueError(f"need n >= 0 variables, got {n}")
 
     def _check_key(self, lam):

@@ -3,12 +3,13 @@ transported sl2-actions, the two-parameter Kerov operators on unbounded
 diagrams, and the relabeling isomorphism with the Schur basis."""
 
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from .combinatorics import check_partition
 from .sl2_actions import act_rho1, act_rho2, kerov_constants
 from .symfunc import SchurVector
-from .vector import SparseVector, box_operator, op_constants
+from .vector import SparseVector, box_operator, canonical_coefficient, op_constants
 
 
 class KerovParams(NamedTuple):
@@ -26,7 +27,7 @@ class DiagramVector(SparseVector):
     row_bound = property(lambda self: self.ambient)
 
     def _check_ambient(self, row_bound):
-        if row_bound is not None and row_bound < 0:
+        if row_bound is not None and index(row_bound) < 0:
             raise ValueError(f"row bound must be >= 0 or None, got {row_bound}")
 
     def _check_key(self, lam):
@@ -52,7 +53,7 @@ def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
     """The diagrams of `v`, whose keys are already checked partitions, as
     a Schur vector in n variables sharing v's terms: only n and the row
     counts are checked."""
-    if n < 0:
+    if index(n) < 0:
         raise ValueError(f"need n >= 0 variables, got {n}")
     for lam in v.terms:
         if len(lam) > n:
@@ -74,10 +75,14 @@ def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
 
 def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector:
     """Kerov operators U, L, D on unbounded diagrams (see kerov_constants).
-    Application is exact for any finite vector."""
-    z, zprime = (c if type(c) is Fraction else Fraction(c) for c in params)
-    table = kerov_constants(z, zprime)
-    return box_operator(v, op_constants(table, op), None)
+    Application is exact for any finite vector; a float z or z' is refused."""
+    exact = []
+    for name, c in zip(KerovParams._fields, params):
+        try:
+            exact.append(canonical_coefficient(c))
+        except TypeError as exc:
+            raise TypeError(f"{name}: {exc}") from None
+    return box_operator(v, op_constants(kerov_constants(*exact), op), None)
 
 
 def phi(v: DiagramVector) -> SchurVector:

@@ -1,4 +1,7 @@
 import json
+import re
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -88,6 +91,79 @@ def test_act_flag_validation(capsys):
         "--expr", "e[3]",
     )
     assert code == 2 and "e[3]" in err
+
+
+# The flag rules of `act`, written out here rather than read from the cli:
+# the flags each representation reads (each one required), its operators
+# and the letter of its basis.
+SL2_OPS = ("raise", "lower", "cartan")
+ACT_RULES = {
+    "rho1": ((), SL2_OPS, "s"),
+    "rho2": (("d",), SL2_OPS, "s"),
+    "hat": ((), SL2_OPS, "y"),
+    "tilde": (("d",), SL2_OPS, "y"),
+    "kerov": (("z", "zprime"), ("U", "L", "D"), "y"),
+}
+FLAG_VALUES = {"d": "2", "z": "1/2", "zprime": "-3"}
+
+
+def act_argv(rep, op, flags):
+    letter = ACT_RULES[rep][2]
+    values = [arg for flag in flags for arg in (f"--{flag}", FLAG_VALUES[flag])]
+    return ["act", "--rep", rep, "--op", op, "--n", "2", *values, "--expr", f"{letter}[1]"]
+
+
+@pytest.mark.parametrize("flag", ["d", "z", "zprime"])
+@pytest.mark.parametrize("rep", sorted(ACT_RULES))
+def test_act_flag_rules(capsys, rep, flag):
+    reads, ops, _ = ACT_RULES[rep]
+    if flag in reads:
+        code, out, err = run_cli(capsys, *act_argv(rep, ops[0], [f for f in reads if f != flag]))
+        assert code == 2 and not out and re.search(rf"--{flag}\b.*required", err)
+    else:
+        code, out, err = run_cli(capsys, *act_argv(rep, ops[0], [*reads, flag]))
+        assert (code, out, err) == (2, "", f"error: --{flag} does not apply to representation {rep!r}\n")
+    code, out, err = run_cli(capsys, *act_argv(rep, ops[0], reads))
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize("rep", sorted(ACT_RULES))
+def test_act_refuses_operators_of_other_representations(capsys, rep):
+    reads, ops, _ = ACT_RULES[rep]
+    for op in {op for _, other, _ in ACT_RULES.values() for op in other} - set(ops):
+        code, out, err = run_cli(capsys, *act_argv(rep, op, reads))
+        assert code == 2 and not out and "not valid" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--rep", "rho1", "--n", "3", "--d", "2"], "--d does not apply to representation 'rho1'"),
+    (["--rep", "rho2", "--n", "3", "--d", "2", "--max-degree", "4"],
+     "--max-degree does not apply to representation 'rho2'"),
+    (["--rep", "rho2", "--n", "3"], "--d is required"),
+    (["--rep", "rho2", "--n", "3", "--max-degree", "4"], "--d is required"),
+])
+def test_kernel_flag_rules(capsys, argv, message):
+    code, out, err = run_cli(capsys, "kernel", *argv)
+    assert code == 2 and not out and message in err
+
+
+def test_long_exact_coefficients_print(capsys):
+    """A coefficient longer than CPython's int-to-str digit limit prints in
+    full, the limit is the same after main returns, and an integer literal
+    longer than it is still refused."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    act = ["act", "--rep", "rho1", "--op", "cartan", "--n", "1", "--expr"]
+    code, out, err = run_cli(capsys, *act, "2^15000*s[1]")
+    digits, _, basis = out.partition("*")
+    assert code == 0 and not err and basis == "s[1]\n"
+    assert len(digits) > 4300 and int(Decimal(digits)) == 2 ** 15001
+    code, out, err = run_cli(capsys, *act, "1/2^15000*s[1]", "--json")
+    num, den = json.loads(out)["terms"][0]["coefficient"].split("/")
+    assert code == 0 and not err and num == "1" and int(Decimal(den)) == 2 ** 14999
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit:
+        code, out, err = run_cli(capsys, *act, "1" * (limit + 1) + "*s[1]")
+        assert code == 2 and not out and "limit" in err
 
 
 def test_unknown_flags_exit_2():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -50,6 +51,42 @@ def test_rho2_apply():
     assert rho2_apply("cartan", one, 2) == -4 * one
     assert rho2_apply("raise", Poly.constant(1, 1), 5) == 5 * x(1, 1)
     assert rho2_apply("lower", one, 2) == Poly.zero(2)
+
+
+def readme_operator(op, f, d=None):
+    """The README's differential operator `op` of the first action (d None)
+    or the second, written literally from Poly.partial and Poly.variable:
+    lower = -sum d_k or +sum d_k, cartan = 2 sum x_k d_k (minus n*d for the
+    second), raise = sum x_k^2 d_k or sum (-x_k^2 d_k + d*x_k)."""
+    n = f.n
+    out = Poly.zero(n)
+    for k in range(1, n + 1):
+        x_k, df = Poly.variable(n, k), f.partial(k)
+        if op == "lower":
+            out = out + (-df if d is None else df)
+        elif op == "cartan":
+            out = out + 2 * x_k * df
+        elif d is None:
+            out = out + x_k * x_k * df
+        else:
+            out = out - x_k * x_k * df + d * x_k * f
+    if op == "cartan" and d is not None:
+        out = out - n * d * f
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomial_actions_equal_readme_formulas(n):
+    # bracket relations hold for every Kerov parameter pair, so only the
+    # formulas themselves pin the constants of rho1_apply and rho2_apply
+    for exps in product(range(7), repeat=n):
+        if sum(exps) > 6:
+            continue
+        f = Poly.monomial(n, exps, Fraction(3, 2))
+        for op in ("lower", "cartan", "raise"):
+            assert rho1_apply(op, f) == readme_operator(op, f), (op, exps)
+            for d in range(4):
+                assert rho2_apply(op, f, d) == readme_operator(op, f, d), (op, exps, d)
 
 
 def test_is_symmetric():

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from sl2sym.polyring import Poly
-from sl2sym.sl2_actions import act_rho1, act_rho2
+from sl2sym.sl2_actions import act_rho1, act_rho2, rho2_constants
 from sl2sym.symfunc import SchurVector
 from sl2sym.vector import SparseVector, box_operator
 from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
@@ -94,6 +94,18 @@ def test_checked_constructor():
         assert cls(0, {(): 2}).terms == {(): 2}
     with pytest.raises(ValueError):
         Poly(2, {(1, 0, 0): 1})
+
+
+def test_non_int_ambients_raise():
+    # a float or Fraction variable count, row bound or column bound is a
+    # TypeError, not a vector or operator in 2.5 variables
+    for make in (lambda: SchurVector(2.0), lambda: SchurVector.basis(Fraction(2), (1,)),
+                 lambda: DiagramVector(2.5), lambda: DiagramVector.unit(Fraction(3)),
+                 lambda: rho2_constants(2.0, 2), lambda: rho2_constants(2, Fraction(2)),
+                 lambda: act_rho2("raise", SchurVector.basis(2, (1,)), 2.0)):
+        with pytest.raises(TypeError, match="integer"):
+            make()
+    assert DiagramVector(None).row_bound is None
 
 
 def test_mixing_vector_types_raises():

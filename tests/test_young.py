@@ -95,6 +95,21 @@ def test_kerov_examples():
     assert kerov_apply("L", DiagramVector.basis((2, 1)), params) == dv({(2, 1): 21})
 
 
+def test_non_integer_parameters_raise():
+    v = DiagramVector.basis((1,))
+    for params, name in ((KerovParams(0.1, 2), "z"), (KerovParams(Fraction(1, 2), -0.5), "zprime")):
+        with pytest.raises(TypeError, match=f"^{name}: float"):
+            kerov_apply("U", v, params)
+    # ints and Fractions give the same exact result
+    assert kerov_apply("U", v, KerovParams(3, 5)) == kerov_apply("U", v, KerovParams(Fraction(3), Fraction(5)))
+    assert kerov_apply("L", v, KerovParams(Fraction(1, 2), -3)) == dv({(1,): Fraction(1, 2)})
+    bounded = DiagramVector.basis((1,), 2)
+    for apply in (lambda: hat_apply("raise", bounded, 2.5), lambda: tilde_apply("raise", bounded, 2.0, 3),
+                  lambda: tilde_apply("raise", bounded, 2, 3.0), lambda: hat_apply("lower", bounded, Fraction(2))):
+        with pytest.raises(TypeError, match="integer"):
+            apply()
+
+
 def test_kerov_brackets_sampled():
     params = KerovParams(Fraction(2, 3), Fraction(-1, 4))
     for size in range(6):
