@@ -4,7 +4,7 @@ rectangle, and the Cayley-Sylvester multiplicity formula."""
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import index, sub
 
 Partition = tuple[int, ...]
 
@@ -24,13 +24,13 @@ def partitions(size: int, max_rows: int | None = None, max_part: int | None = No
     """Yield the partitions of `size` with at most `max_rows` parts, each at
     most `max_part` (None: unbounded), in lexicographically decreasing order."""
     for name, bound in (("max_rows", max_rows), ("max_part", max_part)):
-        if bound is not None and bound < 0:
+        if bound is not None and index(bound) < 0:
             raise ValueError(f"{name} must be >= 0, got {bound}")
     if max_rows is None:
         max_rows = size
     if max_part is None:
         max_part = size
-    if size < 0 or size > max_rows * max_part:
+    if index(size) < 0 or size > max_rows * max_part:
         return
     lam, rest = [], size  # the parts so far, and what they leave of size
     while True:
@@ -83,16 +83,16 @@ def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
 def gamma(a: int, n: int, i: int) -> int:
     """Coefficient of T^i in prod_{j=1..n} (1 - T^(a-n+j)) / (1 - T^j),
     i.e. the Gaussian binomial coefficient [a choose n] at T^i."""
-    if n < 1:
+    if index(n) < 1:
         raise ValueError("need n >= 1")
-    coeffs = gaussian_binomial(a, n)  # raises unless a >= n
+    coeffs = gaussian_binomial(index(a), n)  # raises unless a >= n
     return coeffs[i] if 0 <= i < len(coeffs) else 0
 
 
 def _box_binomial(n: int, d: int) -> tuple[int, ...]:
     """Coefficients of [n+d choose n]; the T^m one counts the partitions
     of m in the n x d box."""
-    if n < 0 or d < 0:
+    if index(n) < 0 or index(d) < 0:
         raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     return gaussian_binomial(n + d, n)
 
@@ -121,9 +121,9 @@ def lw_counts(n: int, max_weight: int) -> list[int]:
     tuples (a_1, ..., a_{n-1}) of naturals with
     2*a_1 + 3*a_2 + ... + n*a_{n-1} = i: the coefficients of
     prod_{part=2..n} 1 / (1 - T^part)."""
-    if n < 2:
+    if index(n) < 2:
         raise ValueError("need n >= 2")
-    if max_weight < 0:
+    if index(max_weight) < 0:
         raise ValueError(f"need max_weight >= 0, got {max_weight}")
     counts = [1] + [0] * max_weight
     for part in range(2, n + 1):
@@ -139,7 +139,7 @@ def alpha_degree(alpha) -> int:
 def alpha_tuples(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of length n-1 with degree at most `max_degree`,
     sorted by (degree, tuple)."""
-    if n < 2:
+    if index(n) < 2:
         raise ValueError("need n >= 2")
     length = n - 1
 

@@ -230,21 +230,13 @@ def degree(e) -> int:
     raise ValueError(f"unknown node {kind!r}")
 
 
-def _scalar(e):
-    """The value of a number, a negated one or a product of them, else None."""
-    if e[0] == "num":
-        return e[1]
-    if e[0] == "neg" and (c := _scalar(e[1])) is not None:
-        return -c
-    if e[0] == "mul" and (rhs := _scalar(e[2])) is not None and (lhs := _scalar(e[1])) is not None:
-        return lhs * rhs
-    return None
-
-
-def _eval_schur(e, n: int, allow_diagram_atoms: bool) -> SchurVector:
+def _eval_schur(e, n: int, allow_diagram_atoms: bool):
+    """The SchurVector of `e`, or a Fraction if `e` has no atom: a number
+    times a vector is the scalar product, and in a sum a number c is
+    c*s_()."""
     kind = e[0]
     if kind == "num":
-        return e[1] * SchurVector.unit(n)
+        return e[1]
     if kind == "atom":
         letter, parts = e[1], e[2]
         if letter == "y" and not allow_diagram_atoms:
@@ -267,12 +259,12 @@ def _eval_schur(e, n: int, allow_diagram_atoms: bool) -> SchurVector:
         return -_eval_schur(e[1], n, allow_diagram_atoms)
     if kind == "pow":
         return _eval_schur(e[1], n, allow_diagram_atoms) ** e[2]
-    if kind == "mul":
-        for num, other in ((e[1], e[2]), (e[2], e[1])):
-            if (c := _scalar(num)) is not None:
-                return c * _eval_schur(other, n, allow_diagram_atoms)
     if kind in _BINARY:
         lhs, rhs = (_eval_schur(arg, n, allow_diagram_atoms) for arg in e[1:])
+        if kind == "mul" and Fraction in (type(lhs), type(rhs)):
+            return lhs * rhs
+        if type(lhs) is not type(rhs):
+            lhs, rhs = (x * SchurVector.unit(n) if type(x) is Fraction else x for x in (lhs, rhs))
         return _BINARY[kind](lhs, rhs)
     raise ValueError(f"unknown node {kind!r}")
 
@@ -285,4 +277,6 @@ def evaluate(e, n: int, mode: str = "schur"):
     if mode not in ("schur", "diagram"):
         raise ValueError(f"unknown mode {mode!r}")
     sv = _eval_schur(e, n, allow_diagram_atoms=(mode == "diagram"))
+    if type(sv) is Fraction:
+        sv = sv * SchurVector.unit(n)
     return phi_inverse(sv) if mode == "diagram" else sv

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
-from operator import add
+from operator import add, index
 
 from .combinatorics import Partition, check_partition
 from .symfunc import SchurVector
@@ -24,7 +24,7 @@ class Poly(SparseVector):
     n = property(lambda self: self.ambient)
 
     def _check_ambient(self, n):
-        if n < 1:
+        if index(n) < 1:
             raise ValueError("need at least one variable")
 
     def _check_key(self, exps):
@@ -58,8 +58,10 @@ class Poly(SparseVector):
         return cls(n, {tuple(exps): c})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # not through the box operator it checks
+            return self._closed(self.n, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Poly):
-            return super().__mul__(other)
+            return NotImplemented
         self._same_ambient(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -67,6 +69,8 @@ class Poly(SparseVector):
                 key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return self._closed(self.n, out)
+
+    __rmul__ = __mul__
 
     def partial(self, k: int) -> "Poly":
         """Formal partial derivative in x_k (1-based)."""

@@ -1,7 +1,7 @@
 """The sparse vector algebra under every basis of the library, and the
 content-weighted box operator on partition-keyed vectors: both sl2-actions,
-their transports, the Kerov operators and Pieri's rule are that operator
-with different constants."""
+their transports, the Kerov operators, Pieri's rule and the rational
+multiples c*v (its diagonal) are that operator with different constants."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -124,13 +124,11 @@ class SparseVector:
         return self._combine(other, sub)
 
     def __neg__(self):
-        return self._closed(self.ambient, {key: -c for key, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            m, p = lcm(*[c.denominator for c in self.terms.values()]), other.numerator
-            scaled = {key: c.numerator * (m // c.denominator) * p for key, c in self.terms.items()}
-            return self._wrap(self.ambient, _divided(scaled, m * other.denominator))
+            return box_operator(self, ("diagonal", other, 0), self.ambient)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sl2sym.combinatorics import (
@@ -10,7 +12,7 @@ from sl2sym.combinatorics import (
     partitions,
     sylvester_cayley,
 )
-from sl2sym.sl2_actions import decompose_finite
+from sl2sym.sl2_actions import character_finite, decompose_finite
 from sl2sym.vector import box_operator
 from sl2sym.verify import count_partitions_in_rectangle
 from sl2sym.young import DiagramVector
@@ -245,3 +247,38 @@ def test_alpha_tuples():
     ]
     assert alpha_tuples(2, 4) == [(0,), (1,), (2,)]
     assert alpha_degree((1, 1)) == 5
+
+
+def test_non_int_sizes_raise():
+    # a float or Fraction size, bound or variable count is a TypeError, not
+    # a list of partitions of 4.0 or a table in 3.0 variables
+    for make in (lambda: list(partitions(4.0)), lambda: list(partitions(Fraction(4))),
+                 lambda: list(partitions(4, 2.0)), lambda: list(partitions(4, None, Fraction(2))),
+                 lambda: alpha_tuples(3.0, 2), lambda: alpha_tuples(Fraction(3), 2),
+                 lambda: lw_counts(3, 4.0), lambda: lw_counts(3.0, 4), lambda: lw_counts(3, Fraction(4))):
+        with pytest.raises(TypeError, match="integer"):
+            make()
+    assert list(partitions(4, True)) == [(4,)] and alpha_tuples(2, 2) == [(0,), (1,)]
+
+
+def test_small_tables_refuse_non_ints_whatever_ran_before():
+    # gaussian_binomial's cache answers (4.0, 2) from a cached (4, 2), so
+    # every table checks its sizes before it reaches the cache
+    tables = {
+        "character_finite": lambda x: character_finite(2, x),
+        "decompose_finite": lambda x: decompose_finite(x, 2),
+        "sylvester_cayley": lambda x: sylvester_cayley(2, x, 2),
+        "gamma a": lambda x: gamma(2 * x, 2, 1),
+        "gamma n": lambda x: gamma(4, x, 1),
+    }
+    gaussian_binomial.cache_clear()
+    expected = {name: table(2) for name, table in tables.items()}
+    for ints_first in (True, False):
+        gaussian_binomial.cache_clear()
+        for name, table in tables.items():
+            if ints_first:
+                assert table(2) == expected[name]
+            for bad in (2.0, Fraction(2)):
+                with pytest.raises(TypeError, match="integer"):
+                    table(bad)
+            assert table(2) == expected[name]

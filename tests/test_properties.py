@@ -10,8 +10,10 @@ afresh on every term, as before the partition index (values, types, term
 order and errors, also after unrelated calls or other threads have filled
 the index), the rho2 kernel images against that spec, the canonical
 coefficients (int when integral, Fractions in lowest terms) of every
-closed operation, and the box operator's Fraction builder `_fraction`
-against the public constructor.  Also the
+closed operation, scalar products against plain Fraction arithmetic
+(the monomial oracle's without the engine's box operator), and the box
+operator's Fraction builder `_fraction` against the public constructor.
+Also the
 exact sparse kernel against sympy's on random sparse rational matrices,
 the dimension identity of one large finite decomposition, the closed
 forms of Kerov's U^m and D^m, and both actions as Kerov operators at
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from sl2sym.combinatorics import partitions
-from sl2sym.polyring import Poly, poly_to_schur, schur_to_poly
+from sl2sym.polyring import Poly, poly_to_schur, power_sum_poly, schur_to_poly, sigma_slice
 from sl2sym.sl2_actions import (
     act_rho1,
     act_rho2,
@@ -478,7 +480,8 @@ def test_closed_operations_keep_coefficients_canonical(data, other, z, zprime, k
     kerov = kerov_constants(z, zprime)
     tables = [*rho1_constants(n).values(), *rho2_constants(n, d).values(), *kerov.values()]
     results = [u, w, f, bounded, u + w, u - w, -u, u * k, k * u, u * q, small ** 2, small ** 0,
-               f * g, f ** 2, multiply(small, small), phi(bounded), phi_inverse(u)]
+               f * g, f ** 2, multiply(small, small), phi(bounded), phi_inverse(u),
+               -free, free * q, q * bounded, f * q, q * f, -f]
     results += [box_operator(u, c, n) for c in tables] + [box_operator(free, c, None) for c in tables]
     for op in ("lower", "cartan", "raise"):
         results += [hat_apply(op, bounded, n), tilde_apply(op, boxed, n, d)]
@@ -486,6 +489,51 @@ def test_closed_operations_keep_coefficients_canonical(data, other, z, zprime, k
     results += [kerov_apply(op, free, params) for op in "ULD"]
     for res in results:
         assert_canonical(res)
+
+
+def scaled_reference(v, q) -> list:
+    """The terms of q*v in order, each coefficient c*q by plain Fraction
+    arithmetic, an int when integral, zeros dropped."""
+    out = [(key, Fraction(c) * q) for key, c in v.terms.items()]
+    return [(key, int, int(c)) if c.denominator == 1 else (key, Fraction, c) for key, c in out if c]
+
+
+@given(data=sparse_terms(), q=rationals)
+@example(data=(2, None, {(2,): Fraction(1, 2), (1, 1): 3}), q=Fraction(2))
+@example(data=(3, None, {(2, 1): Fraction(-3, 4)}), q=Fraction(0))
+@settings(max_examples=100, deadline=None)
+def test_scalar_products_equal_fraction_reference(data, q):
+    n, _, terms = data
+    vectors = [SchurVector(n, terms), DiagramVector(n, terms), DiagramVector(None, terms),
+               Poly(n, {lam + (0,) * (n - len(lam)): c for lam, c in terms.items()})]
+    for v in vectors:
+        for c, out in ((q, v * q), (q, q * v), (-1, -v)):
+            assert type(out) is type(v) and out.ambient == v.ambient
+            assert exact_terms(out) == scaled_reference(v, c)
+        for k in (int(q), -1, 0, 1):
+            assert exact_terms(v * k) == exact_terms(k * v) == scaled_reference(v, k)
+
+
+def test_oracle_scales_without_the_box_operator(monkeypatch):
+    # the monomial oracle checks the box operator and its Fraction builder,
+    # so it must not run them: Poly has its own scalar product
+    def refuse(*args):
+        raise AssertionError("the oracle ran the engine's scaling")
+
+    for name in ("box_operator", "_fraction", "_divided"):
+        monkeypatch.setattr(vector, name, refuse)
+    with pytest.raises(AssertionError, match="the oracle ran"):
+        SchurVector(2, {(1,): 1}) * Fraction(2, 3)
+    f = Poly(2, {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2), (1, 1): -3})
+    assert (f * Fraction(2, 3)).terms == {(2, 0): Fraction(1, 3), (0, 2): Fraction(1, 3), (1, 1): -2}
+    assert (Fraction(-4, 3) * f).terms == (-f * Fraction(4, 3)).terms == {
+        (2, 0): Fraction(-2, 3), (0, 2): Fraction(-2, 3), (1, 1): 4}
+    assert (f * 0).terms == {} and (2 * f).terms == {(2, 0): 1, (0, 2): 1, (1, 1): -6}
+    assert sigma_slice(power_sum_poly(2, 3)) == (
+        power_sum_poly(2, 3) - power_sum_poly(1, 3) ** 2 * Fraction(1, 3))
+    for lam in [(), (1,), (2, 1), (3, 1, 1)]:
+        expected = SchurVector(3, {lam: Fraction(2, 3)})
+        assert poly_to_schur(schur_to_poly(lam, 3) * Fraction(2, 3)) == expected
 
 
 @given(pair=basis_pairs())

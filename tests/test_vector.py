@@ -73,10 +73,11 @@ def test_float_coefficients_raise():
                  lambda: Poly(2, {(1, 0): -2.0})):
         with pytest.raises(TypeError, match=r"^coefficient of \((1|1, 0),?\): float"):
             make()
-    v = SchurVector(3, {(1,): 1})
-    for product in (lambda: v * 0.5, lambda: 0.5 * v):
-        with pytest.raises(TypeError):
-            product()
+    for v in (SchurVector(3, {(1,): 1}), DiagramVector(None, {(1,): 1}), Poly(2, {(1, 0): 1})):
+        for c in (0.5, Decimal("0.5")):
+            for product in (lambda: v * c, lambda: c * v):
+                with pytest.raises(TypeError):
+                    product()
     exact = SchurVector(3, {(1,): Decimal("0.1"), (2,): True, (3,): Fraction(6, 4), (): 2})
     assert exact.terms == {(1,): Fraction(1, 10), (2,): 1, (3,): Fraction(3, 2), (): 2}
     assert type(exact.terms[(2,)]) is int
@@ -102,7 +103,8 @@ def test_non_int_ambients_raise():
     for make in (lambda: SchurVector(2.0), lambda: SchurVector.basis(Fraction(2), (1,)),
                  lambda: DiagramVector(2.5), lambda: DiagramVector.unit(Fraction(3)),
                  lambda: rho2_constants(2.0, 2), lambda: rho2_constants(2, Fraction(2)),
-                 lambda: act_rho2("raise", SchurVector.basis(2, (1,)), 2.0)):
+                 lambda: act_rho2("raise", SchurVector.basis(2, (1,)), 2.0),
+                 lambda: Poly(2.0), lambda: Poly.zero(Fraction(2))):
         with pytest.raises(TypeError, match="integer"):
             make()
     assert DiagramVector(None).row_bound is None
