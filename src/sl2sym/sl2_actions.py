@@ -2,14 +2,14 @@
 lowest-weight (kernel) computation, the decomposition into irreducibles and
 the characters."""
 
-from math import gcd, lcm
+from math import gcd
 from operator import index
 from typing import NamedTuple
 
 from .combinatorics import _box_binomial, _cayley_sylvester, alpha_degree, alpha_tuples, partitions
 # perfbench's tracer test checks that its wrapper reaches sl2_actions.multiply
 from .symfunc import SchurVector, multiply, z_monomial_schur  # noqa: F401
-from .vector import _divided, _walk, box_operator, op_constants
+from .vector import _divided, _integers, _walk, box_operator, op_constants
 
 
 class LowestWeightVector(NamedTuple):
@@ -117,9 +117,9 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
     relations = []
     kernel = []
     for j, image in enumerate(images):
-        s = lcm(*[c.denominator for c in image.values()])
-        v = dict(image) if s == 1 else {k: c.numerator * (s // c.denominator)
-                                        for k, c in image.items()}
+        s, v = _integers(image)
+        if v is image:
+            v = dict(image)
         steps = []
         for key, reduced, t in pivots:
             f = v.get(key)
@@ -156,7 +156,7 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
                 vec[col] = -c * scale
                 for u, b in recorded:
                     coeffs[u] = coeffs.get(u, 0) - c * b
-        kernel.append(_divided(vec, s))
+        kernel.append(_divided(vec.items(), s))
     return kernel
 
 

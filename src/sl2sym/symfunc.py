@@ -4,11 +4,11 @@ elementary, kernel generators) as Schur vectors.  The monomial expansions
 that check them live in `polyring`."""
 
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from operator import index
 
 from .combinatorics import Partition, check_partition
-from .vector import SparseVector, _divided
+from .vector import SparseVector, _divided, _integers
 
 
 class SchurVector(SparseVector):
@@ -101,12 +101,9 @@ def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
     over integers, each operand scaled by the lcm of its denominators."""
     u._same_ambient(v)
     n = u.n
-    du = lcm(*[c.denominator for c in u.terms.values()])
-    dv = lcm(*[c.denominator for c in v.terms.values()])
-    u_terms = u.terms.items() if du == 1 else [
-        (lam, a.numerator * (du // a.denominator)) for lam, a in u.terms.items()]
-    v_terms = v.terms.items() if dv == 1 else [
-        (mu, b.numerator * (dv // b.denominator)) for mu, b in v.terms.items()]
+    du, u_terms = _integers(u.terms)
+    dv, v_terms = _integers(v.terms)
+    u_terms, v_terms = u_terms.items(), v_terms.items()
     out = {}
     get = out.get
     for lam, a in u_terms:
@@ -115,7 +112,7 @@ def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
             product = _basis_product(lam, mu, n) if lam <= mu else _basis_product(mu, lam, n)
             for nu, c in product.items():
                 out[nu] = get(nu, 0) + ab * c
-    return SchurVector._wrap(n, _divided(out, du * dv))
+    return SchurVector._wrap(n, _divided(out.items(), du * dv))
 
 
 def power_sum_schur(k: int, n: int) -> SchurVector:

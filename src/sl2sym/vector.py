@@ -29,28 +29,40 @@ def canonical_coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _fraction(x: int, den: int) -> Fraction:
-    """Fraction(x, den) for ints x and den != 0, built without the public
-    constructor and its type checks: reduced by the gcd, the sign on the
-    numerator, the two slots of Fraction (`_numerator`, `_denominator`, on
-    every CPython from 3.6 to 3.13) filled directly, as CPython's own
-    `Fraction._from_coprime_ints` does on 3.12 and later."""
-    g = gcd(x, den)
+def _integers(terms: dict) -> tuple:
+    """(m, {key: m*c}): canonical `terms` scaled to ints over m, the lcm of
+    their denominators; `terms` itself when m = 1.  Ints take a type test
+    and Fractions are read through their two slots, so no coefficient costs
+    a Python-level call."""
+    m = lcm(*[c._denominator for c in terms.values() if type(c) is not int])
+    if m == 1:
+        return 1, terms
+    return m, {key: c * m if type(c) is int else c._numerator * (m // c._denominator)
+               for key, c in terms.items()}
+
+
+def _divided(items, den: int) -> dict:
+    """Integer sums over one denominator `den` (of either sign), given as
+    (key, sum) pairs, as canonical coefficients: zeros dropped, an int
+    where `den` divides a sum, else a reduced Fraction.  One gcd per term;
+    a Fraction is built without its public constructor and its type checks,
+    its two slots (`_numerator`, `_denominator`, on every CPython from 3.6
+    to 3.13) filled directly, as CPython's own `Fraction._from_coprime_ints`
+    does on 3.12 and later."""
     if den < 0:
-        g = -g
-    out = object.__new__(Fraction)
-    out._numerator = x // g
-    out._denominator = den // g
-    return out
-
-
-def _divided(sums: dict, den: int) -> dict:
-    """Integer `sums` over one denominator `den` (of either sign) as
-    canonical coefficients: zeros dropped, an int where `den` divides a sum,
-    else a reduced Fraction."""
+        return _divided(((key, -x) for key, x in items), -den)
     if den == 1:
-        return {key: x for key, x in sums.items() if x}
-    return {key: x // den if not x % den else _fraction(x, den) for key, x in sums.items() if x}
+        return {key: x for key, x in items if x}
+    out = {}
+    for key, x in items:
+        if x:
+            g = gcd(x, den)
+            if g == den:
+                out[key] = x // den
+            else:
+                f = out[key] = object.__new__(Fraction)
+                f._numerator, f._denominator = x // g, den // g
+    return out
 
 
 class SparseVector:
@@ -97,7 +109,7 @@ class SparseVector:
         and whose coefficients are ints or Fractions: zeros are dropped and
         integral Fractions become ints."""
         return cls._wrap(ambient, {
-            key: c if type(c) is int or c.denominator != 1 else c.numerator
+            key: c if type(c) is int or c._denominator != 1 else c._numerator
             for key, c in terms.items() if c
         })
 
@@ -244,7 +256,7 @@ def _box_sums(terms: dict, part: str, a: int, b: int, row_bound, m: int = 1) -> 
     bounded = part != "remove" and row_bound is not None
     for lam, c in terms.items():
         if m != 1:
-            c = c.numerator * (m // c.denominator)
+            c = c * m if type(c) is int else c._numerator * (m // c._denominator)
         nbrs = table.get(lam)
         if nbrs is None:
             nbrs = _neighbours(lam, part)
@@ -264,23 +276,28 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     rows (None: unbounded) ("add"), top to bottom, weighted a + b*content, or
     to lam weighted a + b*|lam| ("diagonal").  The constants are scaled to
     integers over k, the lcm of their denominators.  A diagonal term is
-    divided on its own: c.numerator * (a + b*|lam|) over c.denominator * k.
-    The other parts sum over integers on one common denominator
-    (`_box_sums`), divided out once per term."""
+    divided on its own: its numerator times a + b*|lam| over its
+    denominator times k, canonicalized inline as `_divided` does.  The
+    other parts sum over integers on one common denominator (`_box_sums`),
+    divided out once per term by `_divided`."""
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
     a, b = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator)
     if part == "diagonal":
         out = {}
         for lam, c in v.terms.items():
-            x = c.numerator * (a + b * sum(lam))
+            if type(c) is int:
+                x, den = c * (a + b * sum(lam)), k
+            else:
+                x, den = c._numerator * (a + b * sum(lam)), c._denominator * k
             if x:
-                den = c.denominator * k
-                out[lam] = x // den if not x % den else _fraction(x, den)
+                g = gcd(x, den)
+                if g == den:
+                    out[lam] = x // den
+                else:
+                    f = out[lam] = object.__new__(Fraction)
+                    f._numerator, f._denominator = x // g, den // g
         return v._wrap(row_bound, out)
-    m = lcm(*[c.denominator for c in v.terms.values()])
-    sums, parts, den = _box_sums(v.terms, part, a, b, row_bound, m), _PARTITIONS, k * m
-    if den == 1:
-        return v._wrap(row_bound, {parts[i]: x for i, x in sums.items() if x})
-    return v._wrap(row_bound, {parts[i]: x // den if not x % den else _fraction(x, den)
-                               for i, x in sums.items() if x})
+    m = lcm(*[c._denominator for c in v.terms.values() if type(c) is not int])
+    sums = _box_sums(v.terms, part, a, b, row_bound, m)
+    return v._wrap(row_bound, _divided(zip(map(_PARTITIONS.__getitem__, sums), sums.values()), k * m))

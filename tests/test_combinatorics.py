@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2sym import combinatorics
 from sl2sym.combinatorics import (
     alpha_degree,
     alpha_tuples,
@@ -262,7 +263,7 @@ def test_non_int_sizes_raise():
 
 
 def test_small_tables_refuse_non_ints_whatever_ran_before():
-    # gaussian_binomial's cache answers (4.0, 2) from a cached (4, 2), so
+    # the Gaussian binomial cache answers (4.0, 2) from a cached (4, 2), so
     # every table checks its sizes before it reaches the cache
     tables = {
         "character_finite": lambda x: character_finite(2, x),
@@ -271,10 +272,10 @@ def test_small_tables_refuse_non_ints_whatever_ran_before():
         "gamma a": lambda x: gamma(2 * x, 2, 1),
         "gamma n": lambda x: gamma(4, x, 1),
     }
-    gaussian_binomial.cache_clear()
+    combinatorics._gaussian_binomial.cache_clear()
     expected = {name: table(2) for name, table in tables.items()}
     for ints_first in (True, False):
-        gaussian_binomial.cache_clear()
+        combinatorics._gaussian_binomial.cache_clear()
         for name, table in tables.items():
             if ints_first:
                 assert table(2) == expected[name]
@@ -282,3 +283,30 @@ def test_small_tables_refuse_non_ints_whatever_ran_before():
                 with pytest.raises(TypeError, match="integer"):
                     table(bad)
             assert table(2) == expected[name]
+
+
+def test_weight_index_must_be_an_int():
+    # a non-integer weight index is a TypeError, not a multiplicity of 0,
+    # in range or out of it
+    for make in (lambda: gamma(4, 2, 10.5), lambda: gamma(4, 2, -1.5), lambda: gamma(4, 2, 1.5),
+                 lambda: gamma(4, 2, 2.0), lambda: gamma(4, 2, Fraction(2)),
+                 lambda: sylvester_cayley(2, 2, 1.5), lambda: sylvester_cayley(2, 2, -0.5),
+                 lambda: sylvester_cayley(2, 2, 2.0), lambda: sylvester_cayley(2, 2, Fraction(40))):
+        with pytest.raises(TypeError, match="integer"):
+            make()
+    assert gamma(4, 2, 2) == 2 and gamma(4, 2, 10) == gamma(4, 2, -1) == 0
+    assert sylvester_cayley(2, 2, 4) == sylvester_cayley(2, 2, 0) == 1
+    assert sylvester_cayley(2, 2, 2) == sylvester_cayley(2, 2, 1) == sylvester_cayley(2, 2, -2) == 0
+
+
+def test_gaussian_binomial_refuses_non_ints_whatever_ran_before():
+    # the public name checks before the cache, which would answer (4.0, 2)
+    # from a cached (4, 2)
+    for ints_first in (True, False):
+        combinatorics._gaussian_binomial.cache_clear()
+        if ints_first:
+            assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
+        for a, k in ((4.0, 2), (Fraction(4), 2), (4, 2.0), (4, Fraction(2))):
+            with pytest.raises(TypeError, match="integer"):
+                gaussian_binomial(a, k)
+        assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)

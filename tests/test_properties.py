@@ -11,9 +11,9 @@ order and errors, also after unrelated calls or other threads have filled
 the index), the rho2 kernel images against that spec, the canonical
 coefficients (int when integral, Fractions in lowest terms) of every
 closed operation, scalar products against plain Fraction arithmetic
-(the monomial oracle's without the engine's box operator), and the box
-operator's Fraction builder `_fraction` against the public constructor.
-Also the
+(the monomial oracle's without the engine's box operator), and the
+engine's canonicalizer `_divided`, which fills the two slots of Fraction,
+against the public constructor.  Also the
 exact sparse kernel against sympy's on random sparse rational matrices,
 the dimension identity of one large finite decomposition, the closed
 forms of Kerov's U^m and D^m, and both actions as Kerov operators at
@@ -46,7 +46,7 @@ from sl2sym.exprlang import evaluate
 from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import content_product, standard_tableaux
 from sl2sym import vector
-from sl2sym.vector import _divided, _fraction, _walk, box_operator, canonical_coefficient
+from sl2sym.vector import _divided, _walk, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -220,18 +220,30 @@ big_ints = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
 @example(x=3, den=-6, multiple=False, other=Fraction(0))
 @example(x=-2, den=-1, multiple=True, other=Fraction(-1, 2))
 @example(x=0, den=-5, multiple=False, other=Fraction(2))
+@example(x=3, den=4, multiple=True, other=Fraction(5, 7))
+@example(x=0, den=7, multiple=False, other=Fraction(1))
 @settings(max_examples=300, deadline=None)
 def test_fraction_helper_equals_constructor(x, den, multiple, other):
-    # den of both signs, x a multiple of den (an integral result) or not
+    # `_divided` on one sum: den of both signs, x a multiple of den (an
+    # int) or not (a Fraction whose slots it fills), x = 0 (dropped)
     if multiple:
         x *= den
-    got, expected = _fraction(x, den), Fraction(x, den)
-    assert type(got) is Fraction
-    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
-    assert type(got.numerator) is int and type(got.denominator) is int
-    assert hash(got) == hash(expected) and str(got) == str(expected) and repr(got) == repr(expected)
+    expected = Fraction(x, den)
+    out = _divided([("key", x)], den)
+    if not x:
+        assert out == {}
+        return
+    got = out.pop("key")
+    assert out == {}
+    if expected.denominator == 1:
+        assert type(got) is int and got == expected.numerator
+    else:
+        assert type(got) is Fraction and repr(got) == repr(expected)
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+        assert type(got.numerator) is int and type(got.denominator) is int
+    assert hash(got) == hash(expected) and str(got) == str(expected)
     back = pickle.loads(pickle.dumps(got))
-    assert type(back) is Fraction and (back.numerator, back.denominator) == (got.numerator, got.denominator)
+    assert type(back) is type(got) and (back.numerator, back.denominator) == (got.numerator, got.denominator)
     assert got == expected and not got != expected and {got: 1} == {expected: 1}
     for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.eq):
         for y in (other, 3):
@@ -240,6 +252,24 @@ def test_fraction_helper_equals_constructor(x, den, multiple, other):
         assert other / got == other / expected and 7 // got == 7 // expected
     assert -got == -expected and abs(got) == abs(expected) and got ** 2 == expected ** 2
     assert floor(got) == floor(expected) and round(got) == round(expected) and int(got) == int(expected)
+
+
+@pytest.mark.parametrize("den", [6, -6, 1, -1])
+def test_divided_keeps_order_drops_zeros_and_makes_ints(den):
+    sums = [("a", 12), ("b", 0), ("c", -3), ("d", 4), ("e", -6), ("f", 5)]
+    expected = {key: Fraction(x, den) for key, x in sums if x}
+    expected = {key: int(c) if c.denominator == 1 else c for key, c in expected.items()}
+    got = _divided(iter(sums), den)
+    assert [(key, type(c), c) for key, c in got.items()] == [(key, type(c), c) for key, c in expected.items()]
+    assert [type(got[key]) for key in "acde"] == ([int, Fraction, Fraction, int] if abs(den) == 6 else [int] * 4)
+
+
+def test_fraction_slots_are_the_public_properties():
+    # the engine reads and fills Fraction's `_numerator` and `_denominator`
+    # slots; a CPython that renamed them would fail here first
+    for q in (Fraction(3, -6), Fraction(0), Fraction(-7), Fraction(10**30, 3), Fraction("1/3"), Fraction(2.5)):
+        assert (q._numerator, q._denominator) == (q.numerator, q.denominator)
+        assert type(q._numerator) is int and type(q._denominator) is int
 
 
 constants_part = st.one_of(
@@ -330,7 +360,7 @@ def box_operator_walk_reference(v, constants, row_bound):
     m = lcm(*[c.denominator for c in v.terms.values()])
     sums = box_sums_reference(v.terms, part, a.numerator * (k // a.denominator),
                               b.numerator * (k // b.denominator), row_bound, m)
-    return _divided(sums, k * m)
+    return _divided(sums.items(), k * m)
 
 
 def typed_items(terms):
@@ -515,12 +545,12 @@ def test_scalar_products_equal_fraction_reference(data, q):
 
 
 def test_oracle_scales_without_the_box_operator(monkeypatch):
-    # the monomial oracle checks the box operator and its Fraction builder,
-    # so it must not run them: Poly has its own scalar product
+    # the monomial oracle checks the box operator and its canonicalizer, so
+    # it must not run them: Poly has its own scalar product
     def refuse(*args):
         raise AssertionError("the oracle ran the engine's scaling")
 
-    for name in ("box_operator", "_fraction", "_divided"):
+    for name in ("box_operator", "_divided", "_integers"):
         monkeypatch.setattr(vector, name, refuse)
     with pytest.raises(AssertionError, match="the oracle ran"):
         SchurVector(2, {(1,): 1}) * Fraction(2, 3)

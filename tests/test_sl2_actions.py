@@ -327,7 +327,7 @@ def first_key_nullspace(images):
                 vec[col] = -c * scale
                 for u, b in recorded:
                     coeffs[u] = coeffs.get(u, 0) - c * b
-        kernel.append(_divided(vec, s))
+        kernel.append(_divided(vec.items(), s))
     return kernel
 
 
