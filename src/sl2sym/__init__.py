@@ -18,7 +18,6 @@ from .combinatorics import (
 from .polyring import Poly
 from .symfunc import (
     SchurVector,
-    elementary_schur,
     multiply,
     power_sum_schur,
     z_generator_schur,
@@ -32,7 +31,6 @@ from .sl2_actions import (
     decompose_finite,
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
-    weight_of_alpha,
 )
 from .young import (
     DiagramVector,
@@ -43,7 +41,7 @@ from .young import (
     phi_inverse,
     tilde_apply,
 )
-from .exprlang import EvalError, ParseError, evaluate, parse, print_expr
+from .exprlang import EvalError, ParseError, evaluate, parse
 
 __all__ = [
     "DiagramVector",
@@ -58,7 +56,6 @@ __all__ = [
     "alpha_tuples",
     "character_finite",
     "decompose_finite",
-    "elementary_schur",
     "evaluate",
     "gamma",
     "gaussian_binomial",
@@ -72,10 +69,8 @@ __all__ = [
     "phi",
     "phi_inverse",
     "power_sum_schur",
-    "print_expr",
     "sylvester_cayley",
     "tilde_apply",
-    "weight_of_alpha",
     "z_generator_schur",
     "z_monomial_schur",
 ]

@@ -175,41 +175,6 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
-def print_expr(e) -> str:
-    """Render an expression tree back to parseable text."""
-    kind = e[0]
-    if kind == "num":
-        return str(e[1])
-    if kind == "atom":
-        return f"{e[1]}[{','.join(map(str, e[2]))}]"
-    if kind == "neg":
-        inner = print_expr(e[1])
-        if e[1][0] in ("add", "sub", "mul"):
-            inner = f"({inner})"
-        return "-" + inner
-    if kind in ("add", "sub"):
-        op = " + " if kind == "add" else " - "
-        lhs = print_expr(e[1])
-        rhs = print_expr(e[2])
-        if e[2][0] in ("add", "sub"):
-            rhs = f"({rhs})"
-        return lhs + op + rhs
-    if kind == "mul":
-        lhs = print_expr(e[1])
-        if e[1][0] in ("add", "sub"):
-            lhs = f"({lhs})"
-        rhs = print_expr(e[2])
-        if e[2][0] in ("add", "sub", "mul"):
-            rhs = f"({rhs})"
-        return lhs + "*" + rhs
-    if kind == "pow":
-        base = print_expr(e[1])
-        if e[1][0] not in ("num", "atom"):
-            base = f"({base})"
-        return f"{base}^{e[2]}"
-    raise ValueError(f"unknown node {kind!r}")
-
-
 def degree(e) -> int:
     """A bound on the degree of every term of the expression tree: atoms
     have the size of their partition or their index, products add degrees

@@ -33,12 +33,9 @@ class Poly(SparseVector):
             raise ValueError(f"bad exponent vector {exps!r} for {self.n} variables")
         return exps
 
-    def _unit_key(self):
-        return (0,) * self.n
-
-    @classmethod
-    def zero(cls, n: int) -> "Poly":
-        return cls(n)
+    @staticmethod
+    def _unit_key(n):
+        return (0,) * n
 
     @classmethod
     def constant(cls, n: int, c) -> "Poly":
@@ -207,7 +204,7 @@ def staircase(n: int) -> Partition:
     return tuple(range(n - 1, -1, -1))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def schur_to_poly(lam: Partition, n: int) -> Poly:
     """Schur polynomial in n variables by semistandard tableau enumeration:
     rows weakly increase, columns strictly increase, entries in 1..n; each

@@ -58,12 +58,6 @@ def act_rho2(op: str, v: SchurVector, d: int) -> SchurVector:
     return box_operator(v, constants, v.n)
 
 
-def weight_of_alpha(alpha) -> int:
-    """Cartan eigenvalue 2*(2 a_1 + 3 a_2 + ... + n a_{n-1}) of the kernel
-    monomial with exponents alpha."""
-    return 2 * alpha_degree(alpha)
-
-
 def lowest_weight_basis_rho1(n: int, max_degree: int) -> list[LowestWeightVector]:
     """All kernel monomials z^alpha of degree at most `max_degree` as Schur
     vectors, ordered by (degree, exponent tuple), tagged with their weights."""
@@ -72,7 +66,7 @@ def lowest_weight_basis_rho1(n: int, max_degree: int) -> list[LowestWeightVector
     if max_degree < 0:
         raise ValueError(f"need max_degree >= 0, got {max_degree}")
     return [
-        LowestWeightVector(z_monomial_schur(alpha, n), weight_of_alpha(alpha))
+        LowestWeightVector(z_monomial_schur(alpha, n), 2 * alpha_degree(alpha))
         for alpha in alpha_tuples(n, max_degree)
     ]
 

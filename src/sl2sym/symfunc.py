@@ -1,7 +1,7 @@
 """The Schur-basis view of the symmetric polynomial algebra: the
-Littlewood-Richardson product and the named families (power sums,
-elementary, kernel generators) as Schur vectors.  The monomial expansions
-that check them live in `polyring`."""
+Littlewood-Richardson product and the named families (power sums, kernel
+generators) as Schur vectors.  The monomial expansions that check them
+live in `polyring`."""
 
 from functools import lru_cache
 from math import comb
@@ -29,14 +29,6 @@ class SchurVector(SparseVector):
         if len(lam) > self.n:
             raise ValueError(f"partition {lam!r} has more than {self.n} rows")
         return lam
-
-    @classmethod
-    def zero(cls, n: int) -> "SchurVector":
-        return cls(n)
-
-    @classmethod
-    def unit(cls, n: int) -> "SchurVector":
-        return cls(n, {(): 1})
 
     @classmethod
     def basis(cls, n: int, lam) -> "SchurVector":
@@ -127,14 +119,7 @@ def power_sum_schur(k: int, n: int) -> SchurVector:
     return SchurVector(n, terms)
 
 
-def elementary_schur(i: int, n: int) -> SchurVector:
-    """e_i = s_(1^i)."""
-    if i < 0 or i > n:
-        raise ValueError(f"e_{i} undefined in {n} variables")
-    return SchurVector(n, {(1,) * i: 1})
-
-
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def z_generator_schur(i: int, n: int) -> SchurVector:
     """Schur expansion of the kernel generator z_i, built from the power-sum
     hooks; empty for odd i when n = 2."""

@@ -9,13 +9,6 @@ from operator import add, sub
 from threading import Lock
 
 
-def canonical_order(terms: dict) -> list:
-    """Items sorted by degree, then lexicographically descending key."""
-    items = sorted(terms.items(), key=lambda kv: kv[0], reverse=True)
-    items.sort(key=lambda kv: sum(kv[0]))
-    return items
-
-
 def canonical_coefficient(c):
     """`c` as a canonical coefficient: an int if it is integral, otherwise
     a reduced Fraction.  A float raises TypeError: its binary value is not
@@ -113,7 +106,16 @@ class SparseVector:
             for key, c in terms.items() if c
         })
 
-    def _unit_key(self):
+    @classmethod
+    def zero(cls, ambient=None):
+        return cls(ambient)
+
+    @classmethod
+    def unit(cls, ambient=None):
+        return cls(ambient, {cls._unit_key(ambient): 1})
+
+    @staticmethod
+    def _unit_key(ambient):
         return ()
 
     def _same_ambient(self, other):
@@ -148,7 +150,7 @@ class SparseVector:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("only natural powers")
-        out = self._closed(self.ambient, {self._unit_key(): 1})
+        out = self._closed(self.ambient, {self._unit_key(self.ambient): 1})
         for _ in range(k):
             out = out * self
         return out
@@ -167,7 +169,10 @@ class SparseVector:
         return hash((self.ambient, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list:
-        return canonical_order(self.terms)
+        """Items sorted by degree, then lexicographically descending key."""
+        items = sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        items.sort(key=lambda kv: sum(kv[0]))
+        return items
 
     def __repr__(self):
         body = " + ".join(

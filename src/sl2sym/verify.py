@@ -13,7 +13,7 @@ from functools import cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial
 
-from .combinatorics import alpha_tuples, gamma, lw_counts, partitions, sylvester_cayley
+from .combinatorics import alpha_degree, alpha_tuples, gamma, lw_counts, partitions, sylvester_cayley
 from .polyring import (
     Poly,
     poly_to_schur,
@@ -32,11 +32,9 @@ from .sl2_actions import (
     lowest_weight_basis_rho1,
     lowest_weight_space_rho2,
     rational_nullspace,
-    weight_of_alpha,
 )
 from .symfunc import (
     SchurVector,
-    elementary_schur,
     multiply,
     power_sum_schur,
     z_generator_schur,
@@ -157,6 +155,13 @@ def suite_commutators():
 # --------------------------------------------------------------- schur-action
 
 
+def elementary_schur(i: int, n: int) -> SchurVector:
+    """e_i = s_(1^i)."""
+    if i < 0 or i > n:
+        raise ValueError(f"e_{i} undefined in {n} variables")
+    return SchurVector(n, {(1,) * i: 1})
+
+
 def act_rho1_named(op: str, family: str, i: int, n: int) -> SchurVector:
     """Closed-form image of p_i, e_i or h_i under the first action, returned
     in the Schur basis.  The power-sum images follow the differential
@@ -242,7 +247,7 @@ def _lowest_weight_failures(apply_op, v, weight):
 def _raised_kernel_failures(alpha, n):
     """Per raising step k = 1..4 of the kernel monomial z^alpha, the
     failures of the standard-module lower and cartan relations."""
-    w = weight_of_alpha(alpha)
+    w = 2 * alpha_degree(alpha)
     v = z_monomial_schur(alpha, n)
     for k in range(1, 5):
         v_prev, v = v, act_rho1("raise", v)

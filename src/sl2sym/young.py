@@ -37,14 +37,6 @@ class DiagramVector(SparseVector):
         return lam
 
     @classmethod
-    def zero(cls, row_bound=None) -> "DiagramVector":
-        return cls(row_bound)
-
-    @classmethod
-    def unit(cls, row_bound=None) -> "DiagramVector":
-        return cls(row_bound, {(): 1})
-
-    @classmethod
     def basis(cls, lam, row_bound=None) -> "DiagramVector":
         return cls(row_bound, {tuple(lam): 1})
 

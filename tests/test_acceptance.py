@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 from sl2sym import verify as verify_mod
-from sl2sym.exprlang import parse, print_expr
+from sl2sym.exprlang import parse
 
-from test_exprlang import expressions
+from test_exprlang import expressions, print_expr
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sl2sym import exprlang
-from sl2sym.exprlang import EvalError, ParseError, evaluate, parse, print_expr
+from sl2sym.exprlang import EvalError, ParseError, evaluate, parse
 from sl2sym.symfunc import SchurVector, multiply, power_sum_schur, z_generator_schur
 from sl2sym.young import DiagramVector
 
@@ -40,6 +40,41 @@ def expressions():
         ),
         max_leaves=10,
     )
+
+
+def print_expr(e) -> str:
+    """Render an expression tree back to parseable text."""
+    kind = e[0]
+    if kind == "num":
+        return str(e[1])
+    if kind == "atom":
+        return f"{e[1]}[{','.join(map(str, e[2]))}]"
+    if kind == "neg":
+        inner = print_expr(e[1])
+        if e[1][0] in ("add", "sub", "mul"):
+            inner = f"({inner})"
+        return "-" + inner
+    if kind in ("add", "sub"):
+        op = " + " if kind == "add" else " - "
+        lhs = print_expr(e[1])
+        rhs = print_expr(e[2])
+        if e[2][0] in ("add", "sub"):
+            rhs = f"({rhs})"
+        return lhs + op + rhs
+    if kind == "mul":
+        lhs = print_expr(e[1])
+        if e[1][0] in ("add", "sub"):
+            lhs = f"({lhs})"
+        rhs = print_expr(e[2])
+        if e[2][0] in ("add", "sub", "mul"):
+            rhs = f"({rhs})"
+        return lhs + "*" + rhs
+    if kind == "pow":
+        base = print_expr(e[1])
+        if e[1][0] not in ("num", "atom"):
+            base = f"({base})"
+        return f"{base}^{e[2]}"
+    raise ValueError(f"unknown node {kind!r}")
 
 
 def test_parse_examples():

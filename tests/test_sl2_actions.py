@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from sl2sym import sl2_actions, vector
-from sl2sym.combinatorics import gaussian_binomial, lw_counts, partitions
+from sl2sym.combinatorics import alpha_degree, gaussian_binomial, lw_counts, partitions
 from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
     LowestWeightVector,
@@ -17,16 +17,14 @@ from sl2sym.sl2_actions import (
     lowest_weight_space_rho2,
     rational_nullspace,
     rho2_constants,
-    weight_of_alpha,
 )
 from sl2sym.symfunc import (
     SchurVector,
-    elementary_schur,
     power_sum_schur,
     z_generator_schur,
 )
 from sl2sym.vector import _divided, box_operator
-from sl2sym.verify import act_rho1_named, peel_character, vd_realization
+from sl2sym.verify import act_rho1_named, elementary_schur, peel_character, vd_realization
 
 
 def basis(n, lam):
@@ -100,12 +98,9 @@ def test_act_rho1_named_matches_direct_action():
 
 
 def test_weight_of_alpha():
-    assert weight_of_alpha((1, 1)) == 10
-    assert weight_of_alpha(()) == 0
-    assert weight_of_alpha((0,)) == 0
     # cartan eigenvalue of z_3 in three variables
     z3 = z_generator_schur(3, 3)
-    assert act_rho1("cartan", z3) == Fraction(weight_of_alpha((0, 1))) * z3
+    assert act_rho1("cartan", z3) == Fraction(2 * alpha_degree((0, 1))) * z3
 
 
 def test_lowest_weight_basis_rho1():
@@ -376,7 +371,7 @@ def test_standard_module_relations():
             from sl2sym.symfunc import z_monomial_schur
 
             v0 = z_monomial_schur(alpha, n)
-            w = weight_of_alpha(alpha)
+            w = 2 * alpha_degree(alpha)
             v = v0
             for k in range(1, 4):
                 prev = v

@@ -14,13 +14,13 @@ from sl2sym.polyring import (
 )
 from sl2sym.symfunc import (
     SchurVector,
-    elementary_schur,
     multiply,
     power_sum_schur,
     z_generator_schur,
     z_monomial_schur,
 )
 from sl2sym.vector import box_operator
+from sl2sym.verify import elementary_schur
 
 
 def sv(n, terms):
@@ -151,6 +151,24 @@ def test_named_schur_families():
     assert elementary_schur(0, 2) == SchurVector.unit(2)
     with pytest.raises(ValueError):
         elementary_schur(3, 2)
+
+
+def test_cached_families_refuse_non_ints_whatever_ran_before():
+    # the caches are typed, so (2, 3.0) is not answered from a cached (2, 3)
+    calls = {
+        z_generator_schur: ((2, 3), ((2, 3.0), (2.0, 3), (2, Fraction(3)), (Fraction(2), 3))),
+        schur_to_poly: (((1,), 2), (((1,), 2.0), ((1,), Fraction(2)))),
+    }
+    for f, (good, bad_args) in calls.items():
+        expected = f(*good)
+        for ints_first in (True, False):
+            f.cache_clear()
+            if ints_first:
+                assert f(*good) == expected
+            for bad in bad_args:
+                with pytest.raises(TypeError):
+                    f(*bad)
+            assert f(*good) == expected
 
 
 def test_z_generator_schur():

@@ -10,13 +10,26 @@ from sl2sym.symfunc import SchurVector
 from sl2sym.vector import SparseVector, box_operator
 from sl2sym.young import DiagramVector, KerovParams, hat_apply, kerov_apply, tilde_apply
 
-ALGEBRA = ("__init__", "__add__", "__sub__", "__neg__", "__eq__", "__hash__", "__bool__", "__pow__")
+ALGEBRA = ("__init__", "__add__", "__sub__", "__neg__", "__eq__", "__hash__", "__bool__", "__pow__",
+           "zero", "unit")
 
 
 def test_one_class_holds_the_algebra():
     for cls in (Poly, SchurVector, DiagramVector):
         assert issubclass(cls, SparseVector)
         assert not [name for name in ALGEBRA if name in vars(cls)]
+
+
+def test_base_constructors():
+    # zero and unit come from SparseVector; only the unit's key differs
+    assert SchurVector.zero(3) == SchurVector(3) and SchurVector.unit(0) == SchurVector(0, {(): 1})
+    assert SchurVector.unit(3) == SchurVector(3, {(): 1})
+    assert DiagramVector.zero(2) == DiagramVector(2) and DiagramVector.unit(2) == DiagramVector(2, {(): 1})
+    assert DiagramVector.zero() == DiagramVector(None) and DiagramVector.unit() == DiagramVector(None, {(): 1})
+    assert DiagramVector.zero().row_bound is None and DiagramVector.unit().row_bound is None
+    assert Poly.zero(3) == Poly(3) and Poly.unit(3) == Poly(3, {(0, 0, 0): 1}) == Poly.constant(3, 1)
+    for v in (SchurVector.unit(3), DiagramVector.unit(), Poly.unit(2)):
+        assert [type(c) for c in v.terms.values()] == [int]
 
 
 def test_ambient_attributes():
