@@ -35,16 +35,16 @@ class Poly(SparseVector):
 
     @staticmethod
     def _unit_key(n):
-        return (0,) * n
+        return (0,) * index(n)
 
     @classmethod
     def constant(cls, n: int, c) -> "Poly":
-        return cls(n, {(0,) * n: c})
+        return cls(n, {cls._unit_key(n): c})
 
     @classmethod
     def variable(cls, n: int, k: int) -> "Poly":
         """The variable x_k (1-based)."""
-        if not 1 <= k <= n:
+        if not 1 <= k <= index(n):
             raise ValueError(f"variable index {k} out of range 1..{n}")
         exps = [0] * n
         exps[k - 1] = 1

@@ -5,10 +5,9 @@ Littlewood-Richardson product against the monomial expansion, the
 integer product against its Fraction-by-Fraction sum and numeric factors
 against products by c*s_() (values, types and term order), the integer
 box operator against its Fraction-by-Fraction sum over the one-partition
-spec `box_image` (values and term order) and against the corner walk run
-afresh on every term, as before the partition index (values, types, term
-order and errors, also after unrelated calls or other threads have filled
-the index), the rho2 kernel images against that spec, the canonical
+spec `box_image` of `test_vector` (values, types, term order and errors,
+also after unrelated calls or other threads have filled the partition
+index), the rho2 kernel images against that spec, the canonical
 coefficients (int when integral, Fractions in lowest terms) of every
 closed operation, scalar products against plain Fraction arithmetic
 (the monomial oracle's without the engine's box operator), and the
@@ -24,7 +23,7 @@ import pickle
 import sys
 import threading
 from fractions import Fraction
-from math import comb, floor, lcm
+from math import comb, floor
 
 import hypothesis.strategies as st
 import pytest
@@ -57,7 +56,7 @@ from sl2sym.young import (
     tilde_apply,
 )
 
-from test_vector import assert_canonical
+from test_vector import assert_canonical, box_image, box_operator_reference
 from test_young import transported
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -174,44 +173,6 @@ def basis_pairs(draw):
     return n, lam, mu
 
 
-def box_image(lam, constants, row_bound) -> list:
-    """The specification of `box_operator` on the single partition `lam`,
-    as (partition, weight) pairs, walking the rows of `lam` and one empty
-    row below them, top to bottom.  `constants` is (part, a, b):
-    - ("remove", a, b): every removable cell, weight a + b*content;
-    - ("add", a, b): every cell addable within `row_bound` rows (None:
-      unbounded), weight a + b*content;
-    - ("diagonal", a, b): lam itself, weight a + b*|lam|.
-    The cell in row i (from 1) and column j has content j - i."""
-    part, a, b = constants
-    if part == "diagonal":
-        return [(lam, a + b * sum(lam))]
-    rows = tuple(lam) + (0,)
-    images = []
-    for i, row in enumerate(rows, 1):
-        above = rows[i - 2] if i > 1 else None
-        below = rows[i] if i < len(rows) else 0
-        if part == "remove" and row > below:
-            j = row
-        elif part == "add" and (above is None or above > row) and (
-                row_bound is None or i <= row_bound):
-            j = row + 1
-        else:
-            continue
-        mu = rows[:i - 1] + (j if part == "add" else j - 1,) + rows[i:]
-        images.append((tuple(p for p in mu if p), a + b * (j - i)))
-    return images
-
-
-def box_operator_reference(v, constants, row_bound):
-    """The linear extension of box_image, summed Fraction by Fraction."""
-    out = {}
-    for lam, c in v.terms.items():
-        for mu, w in box_image(lam, constants, row_bound):
-            out[mu] = out.get(mu, 0) + c * w
-    return {mu: c for mu, c in out.items() if c}
-
-
 big_ints = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
 
 
@@ -278,26 +239,48 @@ constants_part = st.one_of(
 coefficients = st.one_of(rationals, st.fractions(min_value=-5, max_value=5, max_denominator=10**6))
 
 
+def same_as_spec(v, constants, bound):
+    """box_operator on v is the spec's linear extension: the same ValueError
+    text, or a canonical vector of v's class in ambient `bound` with the
+    spec's values in the spec's term order."""
+    try:
+        expected = box_operator_reference(v, constants, bound)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            box_operator(v, constants, bound)
+        assert str(info.value) == str(exc)
+        return
+    out = box_operator(v, constants, bound)
+    assert type(out) is type(v) and out.ambient == bound
+    assert list(out.terms.items()) == list(expected.items())
+    assert_canonical(out)
+
+
 @given(
     data=sparse_terms(),
-    bounded=st.booleans(),
+    bound=st.one_of(st.none(), st.integers(0, 5), st.just("tallest"), st.just("n")),
     part=st.sampled_from(["remove", "add", "diagonal"]),
     a=constants_part,
     b=constants_part,
-    coeffs=st.lists(coefficients, min_size=6, max_size=6),
+    coeffs=st.lists(st.one_of(st.integers(-9, 9), coefficients), min_size=6, max_size=6),
 )
+@example(data=(2, None, {(2,): 1, (1, 1): 1}), bound=1, part="add", a=1, b=1, coeffs=[1] * 6)
+@example(data=(3, None, {(2, 1): 1}), bound="tallest", part="add", a=5, b=1, coeffs=[1] * 6)
 @settings(max_examples=200, deadline=None)
-def test_box_operator_equals_fraction_reference(data, bounded, part, a, b, coeffs):
+def test_box_operator_equals_fraction_reference(data, bound, part, a, b, coeffs):
+    # unbounded diagrams at bounds below, at and above the rows of their
+    # keys ("tallest": the rows of the tallest key, where "add" has no new
+    # row), and Schur vectors in n rows at the bound n; the examples put a
+    # key one row past the bound and one at it
     n, _, terms = data
     terms = dict(zip(terms, coeffs))
-    row_bound = n if bounded else None
-    v = SchurVector(n, terms) if bounded else DiagramVector(None, terms)
-    out = box_operator(v, (part, a, b), row_bound)
-    assert type(out) is type(v) and out.ambient == row_bound
-    reference = box_operator_reference(v, (part, a, b), row_bound)
-    assert out.terms == reference
-    assert list(out.terms) == list(reference)
-    assert_canonical(out)
+    if bound == "n":
+        v, bound = SchurVector(n, terms), n
+    else:
+        v = DiagramVector(None, terms)
+        if bound == "tallest":
+            bound = max(map(len, terms), default=0)
+    same_as_spec(v, (part, a, b), bound)
 
 
 def test_kernel_images_equal_box_image():
@@ -317,103 +300,16 @@ def test_kernel_images_equal_box_image():
             assert all(type(w) is int and w > 0 for w in image.values())
 
 
-def box_sums_reference(terms, part, a, b, row_bound, m=1):
-    """The integer box sums with the corner walk run afresh on every term
-    and summed over partition keys, as the library did before its partition
-    index: {mu: sum}, zeros kept, keys in order of first appearance."""
-    out = {}
-    get = out.get
-    for lam, c in terms.items():
-        if m != 1:
-            c = c.numerator * (m // c.denominator)
-        if part == "diagonal":
-            out[lam] = get(lam, 0) + c * (a + b * sum(lam))
-            continue
-        rows, cells = len(lam), list(lam)
-        if part == "remove":
-            for r, p in enumerate(lam):
-                if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
-                    cells[r] = p - 1
-                    mu = tuple(cells) if p > 1 else lam[:r]
-                    cells[r] = p
-                    out[mu] = get(mu, 0) + c * (a + b * (p - r - 1))
-            continue
-        if row_bound is not None and rows > row_bound:
-            raise ValueError(f"{lam!r} already has more than {row_bound} rows")
-        for r, p in enumerate(lam):
-            if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
-                cells[r] = p + 1
-                mu = tuple(cells)
-                cells[r] = p
-                out[mu] = get(mu, 0) + c * (a + b * (p - r))
-        if row_bound is None or rows < row_bound:
-            mu = lam + (1,)
-            out[mu] = get(mu, 0) + c * (a - b * rows)
-    return out
-
-
-def box_operator_walk_reference(v, constants, row_bound):
-    """`box_operator` over `box_sums_reference`: the same integer scaling
-    and one division per term, with no partition index."""
-    part, a, b = constants
-    k = lcm(a.denominator, b.denominator)
-    m = lcm(*[c.denominator for c in v.terms.values()])
-    sums = box_sums_reference(v.terms, part, a.numerator * (k // a.denominator),
-                              b.numerator * (k // b.denominator), row_bound, m)
-    return _divided(sums.items(), k * m)
-
-
-def typed_items(terms):
-    return [(key, type(c), c) for key, c in terms.items()]
-
-
-def same_as_walk(v, constants, row_bound):
-    """box_operator and the reference walk agree on v: the same terms, term
-    order and coefficient types, or the same ValueError text.  The result
-    is checked canonical, which the reference, dividing by the same
-    `_divided`, cannot check."""
-    try:
-        expected = box_operator_walk_reference(v, constants, row_bound)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            box_operator(v, constants, row_bound)
-        return str(info.value) == str(exc)
-    out = box_operator(v, constants, row_bound)
-    assert_canonical(out)
-    return typed_items(out.terms) == typed_items(expected)
-
-
-mixed_coefficients = st.one_of(st.integers(-9, 9), rationals)
-
-
-@given(
-    data=sparse_terms(),
-    bound=st.one_of(st.none(), st.integers(0, 5), st.just("tallest")),
-    part=st.sampled_from(["remove", "add", "diagonal"]),
-    a=constants_part,
-    b=constants_part,
-    coeffs=st.lists(mixed_coefficients, min_size=6, max_size=6),
-)
-@settings(max_examples=200, deadline=None)
-def test_box_operator_equals_reference_walk(data, bound, part, a, b, coeffs):
-    # bounds below, at and above the rows of the keys; "tallest" puts the
-    # bound at the rows of the tallest key, where "add" has no new row
-    _, _, terms = data
-    terms = dict(zip(terms, coeffs))
-    if bound == "tallest":
-        bound = max(map(len, terms), default=0)
-    assert same_as_walk(DiagramVector(None, terms), (part, a, b), bound)
-
-
 @given(data=sparse_terms(), z=rationals, zprime=rationals)
 @settings(max_examples=60, deadline=None)
-def test_kerov_operators_equal_reference_walk(data, z, zprime):
+def test_kerov_operators_equal_spec(data, z, zprime):
     _, _, terms = data
     v = DiagramVector(None, terms)
     params, table = KerovParams(z, zprime), kerov_constants(z, zprime)
     for op in "ULD":
-        expected = box_operator_walk_reference(v, table[op], None)
-        assert typed_items(kerov_apply(op, v, params).terms) == typed_items(expected)
+        out = kerov_apply(op, v, params)
+        assert list(out.terms.items()) == list(box_operator_reference(v, table[op], None).items())
+        assert_canonical(out)
 
 
 def test_box_operator_does_not_depend_on_the_index(monkeypatch):
@@ -423,19 +319,20 @@ def test_box_operator_does_not_depend_on_the_index(monkeypatch):
              for constants in (("add", Fraction(-2, 3), 1), ("remove", 4, Fraction(1, 5)),
                                ("diagonal", 1, 2), ("add", 0, 1))
              for bound in (None, 2, 3)]
-    shared = [typed_items(box_operator(*call).terms) for call in calls]
+    shared = [exact_terms(box_operator(*call)) for call in calls]
     monkeypatch.setattr(vector, "_INDEX", {})
     monkeypatch.setattr(vector, "_PARTITIONS", [])
     monkeypatch.setattr(vector, "_NEIGHBOURS", {"remove": {}, "add": {}})
-    fresh = [typed_items(box_operator(*call).terms) for call in calls]
+    fresh = [exact_terms(box_operator(*call)) for call in calls]
     assert len(vector._PARTITIONS) < 20
     for m in range(9):
         for lam in partitions(m, 4):
             for part in ("add", "remove"):
                 box_operator(DiagramVector(None, {lam: 1}), (part, 1, 1), None)
-    filled = [typed_items(box_operator(*call).terms) for call in calls]
+    filled = [exact_terms(box_operator(*call)) for call in calls]
     assert fresh == filled == shared
-    assert [same_as_walk(*call) for call in calls] == [True] * len(calls)
+    for call in calls:
+        same_as_spec(*call)
 
 
 def test_box_operator_fills_the_index_safely_from_threads(monkeypatch):
@@ -449,7 +346,8 @@ def test_box_operator_fills_the_index_safely_from_threads(monkeypatch):
     def work(start):
         start.wait(timeout=60)
         try:
-            failures.extend(call for call in calls if not same_as_walk(*call))
+            for call in calls:
+                same_as_spec(*call)
         except Exception as exc:  # an error raised by a race fails the test, not just the thread
             failures.append(exc)
 

@@ -1,6 +1,5 @@
 import hashlib
 from fractions import Fraction
-from math import gcd, lcm
 
 import pytest
 
@@ -8,7 +7,6 @@ from sl2sym import sl2_actions, vector
 from sl2sym.combinatorics import alpha_degree, gaussian_binomial, lw_counts, partitions
 from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
-    LowestWeightVector,
     act_rho1,
     act_rho2,
     character_finite,
@@ -23,7 +21,7 @@ from sl2sym.symfunc import (
     power_sum_schur,
     z_generator_schur,
 )
-from sl2sym.vector import _divided, box_operator
+from sl2sym.vector import box_operator
 from sl2sym.verify import act_rho1_named, elementary_schur, peel_character, vd_realization
 
 
@@ -234,42 +232,22 @@ def test_kernel_dimension_is_cayley_sylvester(n, d):
         assert len(rational_nullspace(lowering_images(n, d, m)[1])) == c_m
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(8))
 def test_lowest_weight_space_rho2_equals_all_weights_reference(n):
-    # the kernel at every weight 0..nd, each vector built by the checked
-    # constructor: the same vectors, weights, order and coefficient types
-    for d in range(6):
+    # the kernel over partition keys, each image a one-partition
+    # `box_operator` call and each vector built by the checked constructor:
+    # the same vectors, weights, order and coefficient types.  Every weight
+    # 0..nd for n, d <= 5, the weights 2m - nd <= 0 on the other boxes with
+    # d <= 7 and nd <= 36
+    for d in [d for d in range(8) if n * d <= 36]:
         reference = []
-        for m in range(n * d + 1):
+        for m in range(n * d + 1 if n <= 5 and d <= 5 else n * d // 2 + 1):
             domain, images = lowering_images(n, d, m)
             for vec in rational_nullspace(images):
                 sv = SchurVector(n, {domain[j]: vec[j] for j in sorted(vec)})
                 reference.append((2 * m - n * d, list(sv.terms.items())))
         lw = lowest_weight_space_rho2(n, d)
-        assert repr([(weight, list(vec.terms.items())) for vec, weight in lw]) == repr(reference)
-
-
-def partition_keyed_kernel(n, d):
-    """`lowest_weight_space_rho2` over partition keys, as it was before its
-    rank keys: the images are one-partition `box_operator` calls, read from
-    the partition index, and the weights with no Cayley-Sylvester vector
-    are skipped."""
-    counts = gaussian_binomial(n + d, n)
-    out = []
-    for m in range(n * d // 2 + 1):
-        if counts[m] - (counts[m - 1] if m else 0):
-            domain, images = lowering_images(n, d, m)
-            for vec in rational_nullspace(images):
-                sv = SchurVector._wrap(n, {domain[j]: vec[j] for j in sorted(vec)})
-                out.append(LowestWeightVector(sv, 2 * m - n * d))
-    return out
-
-
-def test_lowest_weight_space_rho2_equals_partition_keyed_kernel():
-    # the rank-keyed levels give the same vectors, weights, order and
-    # coefficient types on every box with n, d <= 7 and nd <= 36
-    for n, d in [(n, d) for n in range(8) for d in range(8) if n * d <= 36]:
-        assert repr(lowest_weight_space_rho2(n, d)) == repr(partition_keyed_kernel(n, d)), (n, d)
+        assert repr([(weight, list(vec.terms.items())) for vec, weight in lw]) == repr(reference), d
 
 
 def test_lowest_weight_space_rho2_does_not_fill_the_partition_index(monkeypatch):
@@ -283,58 +261,27 @@ def test_lowest_weight_space_rho2_does_not_fill_the_partition_index(monkeypatch)
     assert sizes == (0, 0, {"remove": 0, "add": 0})
 
 
-def first_key_nullspace(images):
-    """`rational_nullspace` as it was with the first-key pivot rule: a new
-    pivot clears `next(iter(v))`, the first key left in its image."""
-    pivots, relations, kernel = [], [], []
-    for j, image in enumerate(images):
-        s = lcm(*[c.denominator for c in image.values()])
-        v = dict(image) if s == 1 else {k: c.numerator * (s // c.denominator)
-                                        for k, c in image.items()}
-        steps = []
-        for key, reduced, t in pivots:
-            f = v.get(key)
-            if f:
-                p = reduced[key]
-                g = gcd(f, p)
-                a, b = p // g, f // g
-                if a != 1:
-                    v = {k: a * c for k, c in v.items()}
-                    s *= a
-                    steps = [(u, a * c) for u, c in steps]
-                for k, c in reduced.items():
-                    x = v.get(k, 0) - b * c
-                    if x:
-                        v[k] = x
-                    else:
-                        del v[k]
-                steps.append((t, b))
-        if v:
-            g = gcd(*v.values(), s, *[b for _, b in steps])
-            pivots.append((next(iter(v)), {k: c // g for k, c in v.items()}, len(pivots)))
-            relations.append((j, s // g, [(u, b // g) for u, b in steps]))
-            continue
-        vec, coeffs = {j: s}, dict(steps)
-        for t in range(len(pivots) - 1, -1, -1):
-            c = coeffs.pop(t, 0)
-            if c:
-                col, scale, recorded = relations[t]
-                vec[col] = -c * scale
-                for u, b in recorded:
-                    coeffs[u] = coeffs.get(u, 0) - c * b
-        kernel.append(_divided(vec.items(), s))
-    return kernel
-
-
 @pytest.mark.parametrize("n", range(7))
 def test_lowest_weight_space_rho2_does_not_depend_on_the_pivot_key(n, monkeypatch):
-    # the smallest-key pivot gives the same vectors, weights, order and
-    # coefficient types as the first-key rule
+    # a new pivot that clears the first key left in its image, not the
+    # smallest, gives the same vectors, weights, order and coefficient
+    # types.  The key is `min(v)`; `max` is patched too, since the claim
+    # holds for it as well, and the count shows that the patch reached the
+    # key.  Boxes of fewer than two rows reduce no image to a pivot
+    calls = 0
+
+    def first_key(v):
+        nonlocal calls
+        calls += 1
+        return next(iter(v))
+
     for d in range(7):
         smallest = repr(lowest_weight_space_rho2(n, d))
         with monkeypatch.context() as patch:
-            patch.setattr(sl2_actions, "rational_nullspace", first_key_nullspace)
+            for name in ("min", "max"):
+                patch.setattr(sl2_actions, name, first_key, raising=False)
             assert repr(lowest_weight_space_rho2(n, d)) == smallest
+    assert (calls > 0) == (n >= 2)
 
 
 def test_lowest_weight_space_rho2_checks_its_kernel_counts(monkeypatch):

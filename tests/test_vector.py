@@ -117,7 +117,9 @@ def test_non_int_ambients_raise():
                  lambda: DiagramVector(2.5), lambda: DiagramVector.unit(Fraction(3)),
                  lambda: rho2_constants(2.0, 2), lambda: rho2_constants(2, Fraction(2)),
                  lambda: act_rho2("raise", SchurVector.basis(2, (1,)), 2.0),
-                 lambda: Poly(2.0), lambda: Poly.zero(Fraction(2))):
+                 lambda: Poly(2.0), lambda: Poly.zero(Fraction(2)), lambda: Poly.unit(2.0),
+                 lambda: Poly.unit(Fraction(2)), lambda: SchurVector.unit(2.0),
+                 lambda: Poly.constant(2.0, 1), lambda: Poly.variable(2.0, 1)):
         with pytest.raises(TypeError, match="integer"):
             make()
     assert DiagramVector(None).row_bound is None
@@ -137,9 +139,54 @@ def test_repr():
     assert repr(Poly.monomial(2, (1, 0), 3)) == "Poly(2, 3*x^[1, 0])"
 
 
+def box_image(lam, constants, row_bound) -> list:
+    """The specification of `box_operator` on the single partition `lam`,
+    as (partition, weight) pairs, walking the rows of `lam` and one empty
+    row below them, top to bottom.  `constants` is (part, a, b):
+    - ("remove", a, b): every removable cell, weight a + b*content;
+    - ("add", a, b): every cell addable within `row_bound` rows (None:
+      unbounded), weight a + b*content;
+    - ("diagonal", a, b): lam itself, weight a + b*|lam|.
+    The cell in row i (from 1) and column j has content j - i."""
+    part, a, b = constants
+    if part == "diagonal":
+        return [(lam, a + b * sum(lam))]
+    rows = tuple(lam) + (0,)
+    images = []
+    for i, row in enumerate(rows, 1):
+        above = rows[i - 2] if i > 1 else None
+        below = rows[i] if i < len(rows) else 0
+        if part == "remove" and row > below:
+            j = row
+        elif part == "add" and (above is None or above > row) and (
+                row_bound is None or i <= row_bound):
+            j = row + 1
+        else:
+            continue
+        mu = rows[:i - 1] + (j if part == "add" else j - 1,) + rows[i:]
+        images.append((tuple(p for p in mu if p), a + b * (j - i)))
+    return images
+
+
+def box_operator_reference(v, constants, row_bound):
+    """The linear extension of box_image, summed Fraction by Fraction.  An
+    "add" refuses a key with more rows than a `row_bound` that is not None,
+    at the first such key in term order."""
+    out = {}
+    for lam, c in v.terms.items():
+        if constants[0] == "add" and row_bound is not None and len(lam) > row_bound:
+            raise ValueError(f"{lam!r} already has more than {row_bound} rows")
+        for mu, w in box_image(lam, constants, row_bound):
+            out[mu] = out.get(mu, 0) + c * w
+    return {mu: c for mu, c in out.items() if c}
+
+
 def test_box_image_parts():
+    # the operator and the spec, each against the images worked by hand
     def image(v, constants, row_bound):
-        return list(box_operator(v, constants, row_bound).terms.items())
+        out = list(box_operator(v, constants, row_bound).terms.items())
+        assert out == list(box_operator_reference(v, constants, row_bound).items())
+        return out
 
     lam = {(2, 1): 1}
     assert image(SchurVector(3, lam), ("remove", 0, 1), 3) == [((1, 1), 1), ((2,), -1)]
@@ -153,6 +200,13 @@ def test_box_image_parts():
     assert image(two, ("add", 0, 1), None) == [
         ((4, 1), 3), ((3, 2), 2), ((3, 1, 1), -2), ((2, 2, 1), -2)
     ]
+    # past the bound, "add" refuses the key in the spec as in the operator;
+    # "remove" and "diagonal" take it
+    tall = DiagramVector(None, {(2, 1, 1): 1})
+    with pytest.raises(ValueError, match=r"^\(2, 1, 1\) already has more than 2 rows$"):
+        box_operator_reference(tall, ("add", 0, 1), 2)
+    assert image(tall, ("remove", 0, 1), 2) == [((1, 1, 1), 1), ((2, 1), -2)]
+    assert image(tall, ("diagonal", 1, 2), 2) == [((2, 1, 1), 9)]
 
 
 def test_box_operator_unbounded_result():
