@@ -60,19 +60,14 @@ def _divide_by_one_minus(coeffs: list[int], step: int) -> None:
         coeffs[r::step] = accumulate(coeffs[r::step])
 
 
+@lru_cache(maxsize=1024, typed=True)
 def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
     """Coefficients, ascending in T, of the Gaussian binomial [a choose k]
     = prod_{j=1..k} (1 - T^(a-k+j)) / (1 - T^j), a polynomial of degree
-    k*(a-k), for ints a and k."""
-    return _gaussian_binomial(index(a), index(k))
-
-
-@lru_cache(maxsize=1024)
-def _gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
-    """`gaussian_binomial` for checked ints: the cache answers (4.0, 2) from
-    a cached (4, 2), so every caller checks its arguments first.  Built one
-    factor at a time: after step j the list holds [a-k+j choose j].  Each
-    division is exact or raises ArithmeticError."""
+    k*(a-k), for ints a and k; the cache is typed, so a cached (4, 2)
+    never answers (4.0, 2).  Built one factor at a time: after step j the
+    list holds [a-k+j choose j], each division exact or ArithmeticError."""
+    a, k = index(a), index(k)
     if k < 0 or a < k:
         raise ValueError(f"need 0 <= k <= a, got a={a}, k={k}")
     coeffs = [1]
@@ -92,7 +87,7 @@ def gamma(a: int, n: int, i: int) -> int:
     i.e. the Gaussian binomial coefficient [a choose n] at T^i."""
     if index(n) < 1:
         raise ValueError("need n >= 1")
-    coeffs = _gaussian_binomial(index(a), n)  # raises unless a >= n
+    coeffs = gaussian_binomial(a, n)  # raises unless a >= n
     return coeffs[i] if 0 <= index(i) < len(coeffs) else 0
 
 
@@ -101,7 +96,7 @@ def _box_binomial(n: int, d: int) -> tuple[int, ...]:
     of m in the n x d box."""
     if index(n) < 0 or index(d) < 0:
         raise ValueError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
-    return _gaussian_binomial(n + d, n)
+    return gaussian_binomial(n + d, n)
 
 
 def _cayley_sylvester(coeffs: tuple[int, ...], m: int) -> int:

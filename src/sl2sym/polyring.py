@@ -44,7 +44,7 @@ class Poly(SparseVector):
     @classmethod
     def variable(cls, n: int, k: int) -> "Poly":
         """The variable x_k (1-based)."""
-        if not 1 <= k <= index(n):
+        if not 1 <= index(k) <= index(n):
             raise ValueError(f"variable index {k} out of range 1..{n}")
         exps = [0] * n
         exps[k - 1] = 1
@@ -71,7 +71,7 @@ class Poly(SparseVector):
 
     def partial(self, k: int) -> "Poly":
         """Formal partial derivative in x_k (1-based)."""
-        if not 1 <= k <= self.n:
+        if not 1 <= index(k) <= self.n:
             raise ValueError(f"variable index {k} out of range 1..{self.n}")
         out = {}
         for exps, c in self.terms.items():

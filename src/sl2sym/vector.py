@@ -240,40 +240,6 @@ def _walk(lams, part: str, key, a: int, b: int) -> list:
     return out
 
 
-def _neighbours(lam: tuple, part: str) -> tuple:
-    """Walk `lam` and store its `part` neighbours in `_NEIGHBOURS`, keyed by
-    the indexed tuple."""
-    (image,) = _walk((lam,), part, _index, 0, 1)
-    out = _NEIGHBOURS[part][_PARTITIONS[_index(lam)]] = tuple(image.items())
-    return out
-
-
-def _box_sums(terms: dict, part: str, a: int, b: int, row_bound, m: int = 1) -> dict:
-    """The "remove" or "add" part of `box_operator` with integer constants
-    a, b on m times `terms`, whose coefficients are canonical with
-    denominators dividing m (m = 1: ints): the integer sums keyed by
-    partition index, {index: sum}, zeros kept, keys in order of first
-    appearance.  Each coefficient is scaled as it is read, so no scaled
-    copy of `terms` is built."""
-    out = {}
-    get = out.get
-    table = _NEIGHBOURS[part]
-    bounded = part != "remove" and row_bound is not None
-    for lam, c in terms.items():
-        if m != 1:
-            c = c * m if type(c) is int else c._numerator * (m // c._denominator)
-        nbrs = table.get(lam)
-        if nbrs is None:
-            nbrs = _neighbours(lam, part)
-        if bounded and len(lam) >= row_bound:
-            if len(lam) > row_bound:
-                raise ValueError(f"{lam!r} already has more than {row_bound} rows")
-            nbrs = nbrs[:-1]
-        for i, w in nbrs:
-            out[i] = get(i, 0) + c * (a + b * w)
-    return out
-
-
 def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     """The content-weighted box operator on a partition-keyed vector, with
     ambient `row_bound`.  `constants` (part, a, b) sends lam to lam less each
@@ -283,8 +249,10 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     integers over k, the lcm of their denominators.  A diagonal term is
     divided on its own: its numerator times a + b*|lam| over its
     denominator times k, canonicalized inline as `_divided` does.  The
-    other parts sum over integers on one common denominator (`_box_sums`),
-    divided out once per term by `_divided`."""
+    other parts scale each coefficient to an int over m, the lcm of the
+    input's denominators, as they read it, sum c*(a + b*content) over its
+    `_NEIGHBOURS` (walked on a miss) as ints keyed by partition index, and
+    divide each sum once by k*m through `_divided`."""
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
     a, b = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator)
@@ -304,5 +272,21 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
                     f._numerator, f._denominator = x // g, den // g
         return v._wrap(row_bound, out)
     m = lcm(*[c._denominator for c in v.terms.values() if type(c) is not int])
-    sums = _box_sums(v.terms, part, a, b, row_bound, m)
+    sums = {}
+    get = sums.get
+    table = _NEIGHBOURS[part]
+    bounded = part != "remove" and row_bound is not None
+    for lam, c in v.terms.items():
+        if m != 1:
+            c = c * m if type(c) is int else c._numerator * (m // c._denominator)
+        nbrs = table.get(lam)
+        if nbrs is None:
+            (image,) = _walk((lam,), part, _index, 0, 1)
+            nbrs = table[_PARTITIONS[_index(lam)]] = tuple(image.items())
+        if bounded and len(lam) >= row_bound:
+            if len(lam) > row_bound:
+                raise ValueError(f"{lam!r} already has more than {row_bound} rows")
+            nbrs = nbrs[:-1]
+        for i, w in nbrs:
+            sums[i] = get(i, 0) + c * (a + b * w)
     return v._wrap(row_bound, _divided(zip(map(_PARTITIONS.__getitem__, sums), sums.values()), k * m))

@@ -43,8 +43,10 @@ class DiagramVector(SparseVector):
 
 def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
     """The diagrams of `v`, whose keys are already checked partitions, as
-    a Schur vector in n variables sharing v's terms: only n and the row
-    counts are checked."""
+    a Schur vector in n variables sharing v's terms: only v's type, n and
+    the row counts are checked."""
+    if type(v) is not DiagramVector:
+        raise TypeError(f"need a DiagramVector, got {type(v).__name__}")
     if index(n) < 0:
         raise ValueError(f"need n >= 0 variables, got {n}")
     for lam in v.terms:
@@ -68,6 +70,8 @@ def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
 def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector:
     """Kerov operators U, L, D on unbounded diagrams (see kerov_constants).
     Application is exact for any finite vector; a float z or z' is refused."""
+    if type(v) is not DiagramVector:
+        raise TypeError(f"need a DiagramVector, got {type(v).__name__}")
     exact = []
     for name, c in zip(KerovParams._fields, params):
         try:

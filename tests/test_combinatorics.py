@@ -263,8 +263,8 @@ def test_non_int_sizes_raise():
 
 
 def test_small_tables_refuse_non_ints_whatever_ran_before():
-    # the Gaussian binomial cache answers (4.0, 2) from a cached (4, 2), so
-    # every table checks its sizes before it reaches the cache
+    # an untyped Gaussian binomial cache would answer (4.0, 2) from a cached
+    # (4, 2), so every table is tried with non-ints before and after ints
     tables = {
         "character_finite": lambda x: character_finite(2, x),
         "decompose_finite": lambda x: decompose_finite(x, 2),
@@ -272,10 +272,10 @@ def test_small_tables_refuse_non_ints_whatever_ran_before():
         "gamma a": lambda x: gamma(2 * x, 2, 1),
         "gamma n": lambda x: gamma(4, x, 1),
     }
-    combinatorics._gaussian_binomial.cache_clear()
+    combinatorics.gaussian_binomial.cache_clear()
     expected = {name: table(2) for name, table in tables.items()}
     for ints_first in (True, False):
-        combinatorics._gaussian_binomial.cache_clear()
+        combinatorics.gaussian_binomial.cache_clear()
         for name, table in tables.items():
             if ints_first:
                 assert table(2) == expected[name]
@@ -300,10 +300,9 @@ def test_weight_index_must_be_an_int():
 
 
 def test_gaussian_binomial_refuses_non_ints_whatever_ran_before():
-    # the public name checks before the cache, which would answer (4.0, 2)
-    # from a cached (4, 2)
+    # the cache is typed, so a cached (4, 2) does not answer (4.0, 2)
     for ints_first in (True, False):
-        combinatorics._gaussian_binomial.cache_clear()
+        combinatorics.gaussian_binomial.cache_clear()
         if ints_first:
             assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
         for a, k in ((4.0, 2), (Fraction(4), 2), (4, 2.0), (4, Fraction(2))):

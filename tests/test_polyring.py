@@ -38,6 +38,17 @@ def test_partial():
         f.partial(3)
 
 
+def test_variable_index_must_be_an_int():
+    # refused by the index check, not by a list or tuple lookup after it
+    f = Poly(2, {(1, 0): 1})
+    for k in (1.0, Fraction(1)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Poly.variable(2, k)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            f.partial(k)
+    assert Poly.variable(2, 1) == f and f.partial(1) == Poly.unit(2)
+
+
 def test_rho1_apply():
     assert rho1_apply("lower", power_sum_poly(2, 3)) == -2 * power_sum_poly(1, 3)
     mono = Poly.monomial(3, (2, 1, 1))

@@ -66,6 +66,15 @@ def test_hat_and_tilde_keep_their_input_checks():
     assert hat_apply("raise", fits, 2).row_bound == 2
 
 
+def test_diagram_operators_refuse_other_vectors():
+    # a Schur vector is not relabelled as diagrams, nor passed through Kerov
+    schur = SchurVector.basis(2, (1,))
+    for apply in (lambda: hat_apply("raise", schur, 2), lambda: tilde_apply("raise", schur, 2, 2),
+                  lambda: kerov_apply("U", schur, KerovParams(1, 2))):
+        with pytest.raises(TypeError, match="need a DiagramVector, got SchurVector"):
+            apply()
+
+
 def transported(op, v, n, d=None):
     """The transported first action (d None) or second action as the paper
     writes them, extended linearly from verify's box sums on one diagram."""
