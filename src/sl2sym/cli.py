@@ -5,7 +5,6 @@ with deterministic field and term order."""
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -38,11 +37,15 @@ def _digits_unlimited(fn):
 
 
 @_digits_unlimited
-def format_terms(items, letter: str) -> str:
+def format_terms(items, letter: str, names=None) -> str:
     """Render sorted (partition, coefficient) pairs like '-4*s[1,1] - 2*s[2]',
-    each coefficient from its integer numerator and denominator."""
+    each coefficient from its integer numerator and denominator.  `names`
+    maps each partition to its printed name under this `letter` and is
+    filled as partitions come, so calls that share it print each one once."""
     if not items:
         return "0"
+    if names is None:
+        names = {}
     out = []
     for lam, c in items:
         num, den = c.numerator, c.denominator
@@ -55,9 +58,18 @@ def format_terms(items, letter: str) -> str:
             out.append(f"{num}/{den}*")
         elif num != 1:
             out.append(f"{num}*")
-        out.append(f"{letter}[{','.join(map(str, lam))}]")
+        name = names.get(lam)
+        if name is None:
+            name = names[lam] = f"{letter}[{','.join(map(str, lam))}]"
+        out.append(name)
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
+
+
+def _dumps(doc) -> str:
+    import json  # loaded by --json output alone: each CLI process pays for its imports
+
+    return json.dumps(doc)
 
 
 @_digits_unlimited
@@ -127,7 +139,7 @@ def _cmd_act(args) -> str:
     doc["terms"] = _terms_json(items)
     inputs = {"rep": args.rep, "op": args.op, "n": args.n, "expr": args.expr, **flags}
     doc["metadata"] = {"command": "act", "inputs": inputs}
-    return json.dumps(doc)
+    return _dumps(doc)
 
 
 def _cmd_kernel(args) -> str:
@@ -136,10 +148,11 @@ def _cmd_kernel(args) -> str:
     items = [(weight, vec.terms.items() if canonical else vec.sorted_terms())
              for vec, weight in call(args)]
     if not args.json:
-        lines = [f"weight {weight}: {format_terms(terms, 's')}" for weight, terms in items]
+        names = {}
+        lines = [f"weight {weight}: {format_terms(terms, 's', names)}" for weight, terms in items]
         return "\n".join(lines) if lines else "0"
     vectors = [{"weight": weight, "terms": _terms_json(terms)} for weight, terms in items]
-    return json.dumps({"command": "kernel", "inputs": {"rep": args.rep, "n": args.n, **flags}, "vectors": vectors})
+    return _dumps({"command": "kernel", "inputs": {"rep": args.rep, "n": args.n, **flags}, "vectors": vectors})
 
 
 def _cmd_decompose(args) -> str:
@@ -156,14 +169,14 @@ def _cmd_decompose(args) -> str:
             return "\n".join(f"c[{i}] = {m}" for i, m in entries)
         doc = {"command": "decompose", "n": args.n, "max_weight": args.max_weight}
     doc["multiplicities"] = [[i, m] for i, m in entries]
-    return json.dumps(doc)
+    return _dumps(doc)
 
 
 def _cmd_character(args) -> str:
     entries = sorted(character_finite(args.n, args.d).items())
     if not args.json:
         return "\n".join(f"{w} {m}" for w, m in entries)
-    return json.dumps({
+    return _dumps({
         "command": "character", "n": args.n, "d": args.d,
         "exponents": [[w, m] for w, m in entries],
     })

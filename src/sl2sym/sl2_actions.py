@@ -7,8 +7,7 @@ from operator import index
 from typing import NamedTuple
 
 from .combinatorics import _box_binomial, _cayley_sylvester, alpha_degree, alpha_tuples, partitions
-# perfbench's tracer test checks that its wrapper reaches sl2_actions.multiply
-from .symfunc import SchurVector, multiply, z_monomial_schur  # noqa: F401
+from .symfunc import SchurVector, multiply, z_generator_schur
 from .vector import _divided, _integers, _walk, box_operator, op_constants
 
 
@@ -60,15 +59,22 @@ def act_rho2(op: str, v: SchurVector, d: int) -> SchurVector:
 
 def lowest_weight_basis_rho1(n: int, max_degree: int) -> list[LowestWeightVector]:
     """All kernel monomials z^alpha of degree at most `max_degree` as Schur
-    vectors, ordered by (degree, exponent tuple), tagged with their weights."""
+    vectors, ordered by (degree, exponent tuple), tagged with their weights.
+    Each z^alpha is one product: z^alpha / z_i, of lower degree and so
+    already built, times its last generator z_i.  That is the last step of
+    `z_monomial_schur`, so the vectors equal its in values and term order."""
     if n < 2:
         raise ValueError("need n >= 2")
     if max_degree < 0:
         raise ValueError(f"need max_degree >= 0, got {max_degree}")
-    return [
-        LowestWeightVector(z_monomial_schur(alpha, n), 2 * alpha_degree(alpha))
-        for alpha in alpha_tuples(n, max_degree)
-    ]
+    built = {}
+    for alpha in alpha_tuples(n, max_degree):
+        i = len(alpha)  # z_(i+1) is the last generator of z^alpha
+        while i and not alpha[i - 1]:
+            i -= 1
+        built[alpha] = multiply(built[alpha[:i - 1] + (alpha[i - 1] - 1,) + alpha[i:]],
+                                z_generator_schur(i + 1, n)) if i else SchurVector.unit(n)
+    return [LowestWeightVector(vec, 2 * alpha_degree(alpha)) for alpha, vec in built.items()]
 
 
 def character_finite(n: int, d: int) -> dict[int, int]:

@@ -59,23 +59,29 @@ def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
 
     def fill(k, r, base, shape, counts, prev, left, budget):
         # Place the `left` remaining cells of letter k from row r down, on
-        # top of `base` (the shape before letter k).  prev[r] counts the
-        # letter k-1 in row r; `budget` is (k-1's in rows < r) minus (k's in
-        # rows < r), the lattice bound on the k's allowed in row r.
+        # top of `base` (the shape before letter k, padded to n rows).
+        # prev[r] counts the letter k-1 in row r; `budget` is (k-1's in rows
+        # < r) minus (k's in rows < r), the lattice bound on the k's allowed
+        # in row r.
         if not left:
             if k + 1 == len(mu):
-                nu = tuple(p for p in shape if p)
+                nu = tuple(shape[:shape.index(0)] if shape[-1] == 0 else shape)
                 out[nu] = out.get(nu, 0) + 1
             else:
                 fill(k + 1, 0, tuple(shape), shape, [0] * n, counts, mu[k + 1], 0)
             return
-        if r == n or (r and not base[r - 1]):
-            return
         # Horizontal strip: row r may not pass the old end of row r-1.
-        cap = left if r == 0 else min(left, base[r - 1] - base[r])
-        if k:
-            cap = min(cap, budget)
-        for a in range(cap, -1, -1):
+        cap = left
+        if r and base[r - 1] - base[r] < cap:
+            cap = base[r - 1] - base[r]
+        if k and budget < cap:
+            cap = budget
+        # Rows r+1.. can take at most base[r] - base[-1] of the cells, each
+        # up to the old end of the row above, so row r takes the rest.  This
+        # also ends every filling by row n-1 and keeps cells out of the rows
+        # below an empty one.
+        low = left - (base[r] - base[-1])
+        for a in range(cap, low - 1 if low > 0 else -1, -1):
             shape[r] = base[r] + a
             counts[r] = a
             fill(k, r + 1, base, shape, counts, prev, left - a, budget - a + prev[r])
@@ -140,8 +146,9 @@ def z_monomial_schur(alpha, n: int) -> SchurVector:
         raise ValueError(f"need {n - 1} exponents, got {alpha!r}")
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be naturals")
-    out = SchurVector.unit(n)
+    out = None
     for idx, a in enumerate(alpha):
         for _ in range(a):
-            out = multiply(out, z_generator_schur(idx + 2, n))
-    return out
+            z = z_generator_schur(idx + 2, n)
+            out = z if out is None else multiply(out, z)
+    return SchurVector.unit(n) if out is None else out

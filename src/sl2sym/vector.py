@@ -150,8 +150,11 @@ class SparseVector:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("only natural powers")
-        out = self._closed(self.ambient, {self._unit_key(self.ambient): 1})
-        for _ in range(k):
+        unit = self._closed(self.ambient, {self._unit_key(self.ambient): 1})
+        if k < 2:  # one product at k = 1 too, so a class without one refuses every k >= 1
+            return unit * self if k else unit
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -7,11 +7,11 @@ scale."""
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial
+from typing import NamedTuple
 
 from .combinatorics import alpha_degree, alpha_tuples, gamma, lw_counts, partitions, sylvester_cayley
 from .polyring import (
@@ -59,8 +59,7 @@ THREE_VAR_TABLES = {
 THREE_VAR_MULTIPLICITIES = (1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2)
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     suite: str
     name: str
     ok: bool
@@ -106,14 +105,10 @@ def _tally(suite, name, unit, failures):
 
 
 def _brackets_ok(apply_op, f):
-    rl = apply_op("raise", apply_op("lower", f)) - apply_op("lower", apply_op("raise", f))
-    if rl != apply_op("cartan", f):
-        return False
-    cr = apply_op("cartan", apply_op("raise", f)) - apply_op("raise", apply_op("cartan", f))
-    if cr != 2 * apply_op("raise", f):
-        return False
-    cl = apply_op("cartan", apply_op("lower", f)) - apply_op("lower", apply_op("cartan", f))
-    return cl == -2 * apply_op("lower", f)
+    raised, lowered, weighted = (apply_op(op, f) for op in ("raise", "lower", "cartan"))
+    return (apply_op("raise", lowered) - apply_op("lower", raised) == weighted
+            and apply_op("cartan", raised) - apply_op("raise", weighted) == 2 * raised
+            and apply_op("cartan", lowered) - apply_op("lower", weighted) == -2 * lowered)
 
 
 def _power_sum_samples(n):

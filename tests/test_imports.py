@@ -113,6 +113,33 @@ def test_cli_loads_verify_only_for_verify():
     assert json.loads(run.stderr.splitlines()[-1]) == [[0, 0, 0], False, True]
 
 
+LAZY_CHECK = """
+import sys
+from sl2sym.cli import main
+codes = [main(["act", "--rep", "rho1", "--op", "lower", "--n", "3", "--expr", "s[2,1]"]),
+         main(["kernel", "--rep", "rho1", "--n", "3", "--max-degree", "4"]),
+         main(["decompose", "--n", "3", "--d", "2"]),
+         main(["character", "--n", "2", "--d", "2"]),
+         main(["verify", "--suite", "identities"])]
+loaded = ["json" in sys.modules, "dataclasses" in sys.modules]
+codes.append(main(["character", "--n", "2", "--d", "2", "--json"]))
+print(repr([codes, loaded, "json" in sys.modules]), file=sys.stderr)
+"""
+
+
+def test_cli_loads_json_only_for_json_output():
+    # each CLI process pays for its imports: text output and `verify` load
+    # neither json nor dataclasses (which pulls in inspect, ast and dis)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", LAZY_CHECK],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert ast.literal_eval(run.stderr.splitlines()[-1]) == [[0] * 6, [False, False], True]
+
+
 def test_all_lists_exactly_the_public_names():
     """`__all__` names every public non-module name that `__init__` binds,
     and each of them resolves."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sl2sym import sl2_actions, vector
-from sl2sym.combinatorics import alpha_degree, gaussian_binomial, lw_counts, partitions
+from sl2sym.combinatorics import alpha_degree, alpha_tuples, gaussian_binomial, lw_counts, partitions
 from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
     act_rho1,
@@ -20,6 +20,7 @@ from sl2sym.symfunc import (
     SchurVector,
     power_sum_schur,
     z_generator_schur,
+    z_monomial_schur,
 )
 from sl2sym.vector import box_operator
 from sl2sym.verify import act_rho1_named, elementary_schur, peel_character, vd_realization
@@ -122,6 +123,20 @@ def test_lowest_weight_basis_rho1():
             per_degree[weight // 2] = per_degree.get(weight // 2, 0) + 1
         for m, count in enumerate(lw_counts(n, 6)):
             assert per_degree.get(m, 0) == count
+
+
+@pytest.mark.parametrize("n, max_degree", [(2, 16), (3, 14), (4, 12), (5, 11)])
+def test_lowest_weight_basis_rho1_equals_the_monomials_one_by_one(n, max_degree):
+    # built by prefix products, each z^alpha equals z_monomial_schur's in
+    # values, term order and coefficient types
+    alphas = alpha_tuples(n, max_degree)
+    got = lowest_weight_basis_rho1(n, max_degree)
+    assert [weight for _, weight in got] == [2 * alpha_degree(alpha) for alpha in alphas]
+    for (vec, _), alpha in zip(got, alphas, strict=True):
+        expected = z_monomial_schur(alpha, n)
+        assert vec == expected
+        assert [(lam, type(c)) for lam, c in vec.terms.items()] == \
+            [(lam, type(c)) for lam, c in expected.terms.items()]
 
 
 def test_decompose_lambda_n():

@@ -61,6 +61,42 @@ def test_closed_results_drop_zeros_and_stay_canonical():
     assert Poly.variable(2, 1) ** 0 == Poly.constant(2, 1)
 
 
+def typed_items(v) -> list:
+    return [(key, type(c), c) for key, c in v.terms.items()]
+
+
+@pytest.mark.parametrize("v", [
+    SchurVector(3, {(2, 1): Fraction(1, 2), (1,): -3, (): Fraction(4, 3)}),
+    SchurVector(4, {(1, 1): 2, (2,): -1}),
+    SchurVector.basis(2, (1,)),
+    SchurVector.zero(2),
+    SchurVector.unit(0),
+    Poly(2, {(1, 0): Fraction(1, 2), (0, 1): -3, (0, 0): Fraction(4, 3)}),
+    Poly(3, {(0, 2, 1): 5, (1, 0, 0): Fraction(-2, 7)}),
+    Poly.zero(1),
+])
+def test_power_is_the_product_from_the_unit(v):
+    # v ** k starts from v itself, but equals the k-fold product from the
+    # unit in values, term order and coefficient types
+    folded = type(v).unit(v.ambient)
+    for k in range(5):
+        got = v ** k
+        assert type(got) is type(v) and got.ambient == v.ambient
+        assert typed_items(got) == typed_items(folded), k
+        folded = folded * v
+
+
+@pytest.mark.parametrize("row_bound", [None, 0, 3])
+def test_diagram_vectors_have_only_the_zeroth_power(row_bound):
+    y = DiagramVector(row_bound, {(): Fraction(1, 2)} if row_bound == 0 else {(2,): Fraction(1, 2), (1, 1): 1})
+    assert y ** 0 == DiagramVector.unit(row_bound) and typed_items(y ** 0) == [((), int, 1)]
+    for k in (1, 2, 3):
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            y ** k
+    with pytest.raises(ValueError, match="natural"):
+        y ** -1
+
+
 def test_canonical_coefficient_boundaries():
     two = SchurVector(2, {(1,): Fraction(4, 2)})
     assert two.terms == {(1,): 2} and type(two.terms[(1,)]) is int
