@@ -37,15 +37,13 @@ def _digits_unlimited(fn):
 
 
 @_digits_unlimited
-def format_terms(items, letter: str, names=None) -> str:
+def format_terms(items, letter: str, names: dict) -> str:
     """Render sorted (partition, coefficient) pairs like '-4*s[1,1] - 2*s[2]',
     each coefficient from its integer numerator and denominator.  `names`
     maps each partition to its printed name under this `letter` and is
     filled as partitions come, so calls that share it print each one once."""
     if not items:
         return "0"
-    if names is None:
-        names = {}
     out = []
     for lam, c in items:
         num, den = c.numerator, c.denominator
@@ -132,7 +130,7 @@ def _cmd_act(args) -> str:
     out = call(args.op, evaluate(tree, rows, basis), args)
     items = out.sorted_terms()
     if not args.json:
-        return format_terms(items, out.LETTER)
+        return format_terms(items, out.LETTER, {})
     doc = {"basis": basis, "n": args.n}
     if args.d is not None:
         doc["d"] = args.d

@@ -5,7 +5,7 @@ multiples c*v (its diagonal) are that operator with different constants."""
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, index, sub
 from threading import Lock
 
 
@@ -148,6 +148,7 @@ class SparseVector:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        k = index(k)
         if k < 0:
             raise ValueError("only natural powers")
         unit = self._closed(self.ambient, {self._unit_key(self.ambient): 1})

@@ -275,12 +275,18 @@ def test_format_terms():
     from fractions import Fraction
 
     items = [((2,), Fraction(-2)), ((1, 1), Fraction(-4))]
-    assert format_terms(items, "s") == "-2*s[2] - 4*s[1,1]"
-    assert format_terms([], "s") == "0"
-    assert format_terms([((), Fraction(1, 2))], "y") == "1/2*y[]"
-    assert format_terms([((1,), Fraction(1)), ((2,), Fraction(-1))], "s") == "s[1] - s[2]"
+    assert format_terms(items, "s", {}) == "-2*s[2] - 4*s[1,1]"
+    assert format_terms([], "s", {}) == "0"
+    assert format_terms([((), Fraction(1, 2))], "y", {}) == "1/2*y[]"
+    assert format_terms([((1,), Fraction(1)), ((2,), Fraction(-1))], "s", {}) == "s[1] - s[2]"
     mixed = [((1,), -1), ((2,), Fraction(-3, 4)), ((3,), 5), ((2, 1), Fraction(7, 2)), ((1, 1), 1)]
-    assert format_terms(mixed, "s") == "-s[1] - 3/4*s[2] + 5*s[3] + 7/2*s[2,1] + s[1,1]"
+    assert format_terms(mixed, "s", {}) == "-s[1] - 3/4*s[2] + 5*s[3] + 7/2*s[2,1] + s[1,1]"
+    # calls that share one names dict (one letter) print the same text and
+    # fill it with each partition's name once
+    names = {}
+    assert [format_terms(mixed, "s", names), format_terms(items, "s", names)] == \
+        [format_terms(mixed, "s", {}), format_terms(items, "s", {})]
+    assert names == {(1,): "s[1]", (2,): "s[2]", (3,): "s[3]", (2, 1): "s[2,1]", (1, 1): "s[1,1]"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,7 +341,7 @@ def test_large_power_finishes(capsys):
     for _ in range(14):
         v = box_operator(v, ("add", 1, 0), 6)
     assert code == 0 and not err
-    assert out.strip() == format_terms(act_rho1("lower", v).sorted_terms(), "s")
+    assert out.strip() == format_terms(act_rho1("lower", v).sorted_terms(), "s", {})
 
 
 def test_deep_nesting_exits_2_without_traceback(capsys):

@@ -86,6 +86,13 @@ def test_power_is_the_product_from_the_unit(v):
         folded = folded * v
 
 
+@pytest.mark.parametrize("v", [SchurVector.basis(2, (1,)), Poly.variable(2, 1)])
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 0.0, Fraction(1), Fraction(1, 2)])
+def test_power_refuses_exponents_that_are_not_integers(v, k):
+    with pytest.raises(TypeError, match="integer"):
+        v ** k
+
+
 @pytest.mark.parametrize("row_bound", [None, 0, 3])
 def test_diagram_vectors_have_only_the_zeroth_power(row_bound):
     y = DiagramVector(row_bound, {(): Fraction(1, 2)} if row_bound == 0 else {(2,): Fraction(1, 2), (1, 1): 1})

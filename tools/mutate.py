@@ -1,0 +1,104 @@
+"""Mutation check for the test suite: each mutant below is one exact-text
+replacement in one source file, and the suite must notice it.
+
+For each mutant the tree is copied, without `.git`, to a temporary
+directory, the replacement is made there, and tier-1 runs on the copy with
+`-x` and the `mutate` hypothesis profile (`tests/conftest.py`: no shrinking,
+no example database), so a failing run stops at its first falsifying
+example.  A "killed" mutant must fail that run; an "equivalent" one, whose
+output is the same as the unmutated code's, must pass it.  The check fails
+if a mutant's old text does not occur exactly once in its file.
+
+Run from anywhere, with the test requirements installed:
+
+    python tools/mutate.py              # every mutant
+    python tools/mutate.py lr-lower-bound divided-gcd   # only these
+
+It prints one line per mutant and exits 1 if any mutant's outcome is not
+the expected one.  A change that adds a fast path adds its mutant here."""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/sl2sym, old text, new text, expected outcome)
+MUTANTS = [
+    ("kerov-U-content", "sl2_actions.py", '"U": ("add", z, 1)', '"U": ("add", z, 2)', "killed"),
+    ("kerov-U-constant", "sl2_actions.py", '"U": ("add", z, 1)', '"U": ("add", -z, 1)', "killed"),
+    ("kerov-L-constant", "sl2_actions.py", '("diagonal", z * zprime, 2)', '("diagonal", z + zprime, 2)', "killed"),
+    ("kerov-L-size", "sl2_actions.py", '("diagonal", z * zprime, 2)', '("diagonal", z * zprime, 1)', "killed"),
+    ("kerov-D-content", "sl2_actions.py", '"D": ("remove", zprime, 1)', '"D": ("remove", zprime, 2)', "killed"),
+    ("kerov-D-constant", "sl2_actions.py", '"D": ("remove", zprime, 1)', '"D": ("remove", -zprime, 1)', "killed"),
+    ("rho1-lowering-sign", "sl2_actions.py", '{"lower": (part, -a, -b)', '{"lower": (part, a, b)', "killed"),
+    ("walk-new-row-content", "vector.py", "image[key(lam + (1,))] = a - b * rows",
+     "image[key(lam + (1,))] = a - b * (rows - 1)", "killed"),
+    ("lr-lattice-bound", "symfunc.py", "if k and budget < cap:\n            cap = budget\n",
+     "if k and budget + 1 < cap:\n            cap = budget + 1\n", "killed"),
+    ("lr-lower-bound", "symfunc.py", "low = left - (base[r] - base[-1])",
+     "low = left - (base[r] - base[-1] - 1)", "killed"),
+    # the lower bound also keeps the walk inside n rows: without it, IndexError
+    ("lr-no-lower-bound", "symfunc.py", "low = left - (base[r] - base[-1])", "low = 0", "killed"),
+    ("cayley-sylvester-m1", "combinatorics.py", "coeffs[m] - coeffs[m - 1] if m else coeffs[0]",
+     "coeffs[m] - coeffs[m - 1] if m > 1 else coeffs[m]", "killed"),
+    ("divided-gcd", "vector.py", "if g == den:\n                out[key] = x // den",
+     "if g == 1:\n                out[key] = x // den", "killed"),
+    ("divided-sign", "vector.py", "return _divided(((key, -x) for key, x in items), -den)",
+     "return _divided(items, -den)", "killed"),
+    ("diagonal-scale", "vector.py", "c._numerator * (a + b * sum(lam)), c._denominator * k",
+     "c._numerator * (a + b * sum(lam)), c._denominator", "killed"),
+    ("box-scale-swap", "vector.py", "c = c * m if type(c) is int else c._numerator * (m // c._denominator)",
+     "c = c * m if type(c) is int else c._denominator * (m // c._numerator)", "killed"),
+    ("power-any-exponent", "vector.py", "        k = index(k)\n", "", "killed"),
+    ("rho1-basis-generator", "sl2_actions.py", "z_generator_schur(i + 1, n)", "z_generator_schur(i, n)", "killed"),
+    ("format-fraction-space", "cli.py", 'out.append(f"{num}/{den}*")', 'out.append(f"{num} / {den}*")', "killed"),
+    # the nullspace's output does not depend on which key a pivot clears
+    ("pivot-key", "sl2_actions.py", "pivots.append((min(v), v, len(pivots)))",
+     "pivots.append((max(v), v, len(pivots)))", "equivalent"),
+]
+
+COMMAND = [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q", "-x",
+           "--continue-on-collection-errors", "--hypothesis-profile", "mutate"]
+OUTCOMES = {0: "equivalent", 1: "killed"}  # pytest's exit codes; any other is a broken run
+LEFT_BEHIND = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results")
+
+
+def run(name, file, old, new, expected, scratch) -> bool:
+    tree = scratch / name
+    shutil.copytree(ROOT, tree, ignore=LEFT_BEHIND)
+    path = tree / "src" / "sl2sym" / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        print(f"{name}: its old text occurs {text.count(old)} times in {file}, not once")
+        return False
+    path.write_text(text.replace(old, new))
+    start = time.perf_counter()
+    code = subprocess.run(COMMAND, cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    shutil.rmtree(tree)
+    outcome = OUTCOMES.get(code, f"not run (pytest exit {code})")
+    print(f"{name}: {outcome} ({time.perf_counter() - start:.1f} s), expected {expected}", flush=True)
+    return outcome == expected
+
+
+def main(names) -> int:
+    known = {m[0] for m in MUTANTS}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    with tempfile.TemporaryDirectory() as scratch:
+        failed = [m[0] for m in chosen if not run(*m, Path(scratch))]
+    print(f"{len(chosen) - len(failed)}/{len(chosen)} mutants as expected"
+          + (f"; not: {', '.join(failed)}" if failed else ""))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
