@@ -2,9 +2,9 @@
 Gaussian binomial coefficients, which count the partitions in a
 rectangle, and the Cayley-Sylvester multiplicity formula."""
 
-from functools import lru_cache
 from itertools import accumulate
 from operator import index, sub
+from threading import Lock
 
 Partition = tuple[int, ...]
 
@@ -60,16 +60,40 @@ def _divide_by_one_minus(coeffs: list[int], step: int) -> None:
         coeffs[r::step] = accumulate(coeffs[r::step])
 
 
-@lru_cache(maxsize=1024, typed=True)
+# The cached tables of the process, each cleared once it holds _CACHE_SIZE
+# entries.  Keys are pairs of ints, and a lookup is made only after
+# `type(x) is int` on both, because 4.0 and Fraction(4) hash and compare
+# equal to 4: any other input takes the `operator.index` path, which
+# raises TypeError for a non-integer.
+_CACHE_SIZE = 1024
+_BINOMIALS = {}  # (a, k) -> coefficients of [a choose k]
+_MULTIPLICITIES = {}  # (n, d) -> irreducible multiplicities of the n x d box
+_CACHE_LOCK = Lock()  # so that threads adding entries never pass _CACHE_SIZE
+
+
+def _remember(cache: dict, key: tuple, value: tuple) -> tuple:
+    with _CACHE_LOCK:
+        if len(cache) >= _CACHE_SIZE:
+            cache.clear()
+        cache[key] = value
+    return value
+
+
 def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
     """Coefficients, ascending in T, of the Gaussian binomial [a choose k]
     = prod_{j=1..k} (1 - T^(a-k+j)) / (1 - T^j), a polynomial of degree
-    k*(a-k), for ints a and k; the cache is typed, so a cached (4, 2)
-    never answers (4.0, 2).  Built one factor at a time: after step j the
-    list holds [a-k+j choose j], each division exact or ArithmeticError."""
+    k*(a-k), for ints a and k; a cached (4, 2) never answers (4.0, 2).
+    Built one factor at a time, for the smaller of k and a-k (the two
+    give the same polynomial): after step j the list holds
+    [a-k+j choose j], each division exact or ArithmeticError."""
+    if type(a) is int and type(k) is int:
+        coeffs = _BINOMIALS.get((a, k))
+        if coeffs is not None:
+            return coeffs
     a, k = index(a), index(k)
     if k < 0 or a < k:
         raise ValueError(f"need 0 <= k <= a, got a={a}, k={k}")
+    key, k = (a, k), min(k, a - k)
     coeffs = [1]
     for j in range(1, k + 1):
         m = a - k + j
@@ -79,15 +103,18 @@ def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
         if any(coeffs[-j:]):
             raise ArithmeticError("polynomial division left a remainder")
         del coeffs[-j:]
-    return tuple(coeffs)
+    return _remember(_BINOMIALS, key, tuple(coeffs))
 
 
 def gamma(a: int, n: int, i: int) -> int:
     """Coefficient of T^i in prod_{j=1..n} (1 - T^(a-n+j)) / (1 - T^j),
     i.e. the Gaussian binomial coefficient [a choose n] at T^i."""
-    if index(n) < 1:
-        raise ValueError("need n >= 1")
-    coeffs = gaussian_binomial(a, n)  # raises unless a >= n
+    # n > 0 on a hit too: _box_binomial(0, d) caches (d, 0)
+    coeffs = _BINOMIALS.get((a, n)) if type(a) is int and type(n) is int and n > 0 else None
+    if coeffs is None:
+        if index(n) < 1:
+            raise ValueError("need n >= 1")
+        coeffs = gaussian_binomial(a, n)  # raises unless a >= n
     return coeffs[i] if 0 <= index(i) < len(coeffs) else 0
 
 
@@ -99,11 +126,22 @@ def _box_binomial(n: int, d: int) -> tuple[int, ...]:
     return gaussian_binomial(n + d, n)
 
 
-def _cayley_sylvester(coeffs: tuple[int, ...], m: int) -> int:
-    """[T^m] - [T^(m-1)] of the n x d box binomial `coeffs`, for 2m <= nd:
-    the multiplicity of the irreducible of highest weight nd - 2m in the
-    box span, and its number of lowest-weight vectors of weight 2m - nd."""
-    return coeffs[m] - coeffs[m - 1] if m else coeffs[0]
+def _box_multiplicities(n: int, d: int) -> tuple[int, ...]:
+    """Multiplicities of the irreducibles in the n x d box span, indexed by
+    highest weight i = 0..nd, by the Cayley-Sylvester formula: at
+    i = nd - 2m, the T^m coefficient of the box binomial minus its
+    T^(m-1) one, which is also the number of lowest-weight vectors of
+    weight 2m - nd; 0 where nd - i is odd."""
+    if type(n) is int and type(d) is int:
+        mults = _MULTIPLICITIES.get((n, d))
+        if mults is not None:
+            return mults
+    coeffs = _box_binomial(n, d)
+    n, d = index(n), index(d)
+    half = coeffs[:n * d // 2 + 1]  # T^m for m = 0..nd/2, so i = nd - 2m >= 0
+    mults = [0] * (n * d + 1)
+    mults[n * d::-2] = map(sub, half, (0,) + half)
+    return _remember(_MULTIPLICITIES, (n, d), tuple(mults))
 
 
 def sylvester_cayley(n: int, d: int, i: int) -> int:
@@ -111,11 +149,10 @@ def sylvester_cayley(n: int, d: int, i: int) -> int:
     the standard (d+1)-dimensional module, by the Cayley-Sylvester formula.
     Zero when i is negative (no highest weight is) or when d*n - i is odd
     or negative."""
-    coeffs = _box_binomial(n, d)
-    t = d * n - index(i)
-    if i < 0 or t < 0 or t % 2:
-        return 0
-    return _cayley_sylvester(coeffs, t // 2)
+    mults = _MULTIPLICITIES.get((n, d)) if type(n) is int and type(d) is int else None
+    if mults is None:
+        mults = _box_multiplicities(n, d)
+    return mults[i] if 0 <= index(i) < len(mults) else 0
 
 
 def lw_counts(n: int, max_weight: int) -> list[int]:

@@ -6,7 +6,7 @@ from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from .combinatorics import _box_binomial, _cayley_sylvester, alpha_degree, alpha_tuples, partitions
+from .combinatorics import _box_binomial, _box_multiplicities, alpha_degree, alpha_tuples, partitions
 from .symfunc import SchurVector, multiply, z_generator_schur
 from .vector import _divided, _integers, _walk, box_operator, op_constants
 
@@ -86,13 +86,8 @@ def character_finite(n: int, d: int) -> dict[int, int]:
 def decompose_finite(n: int, d: int) -> dict[int, int]:
     """Irreducible multiplicities i -> c_i of the n x d box span, highest
     weight first, by the Cayley-Sylvester formula (zero ones omitted)."""
-    coeffs = _box_binomial(n, d)
-    decomp = {}
-    for m in range(n * d // 2 + 1):
-        mult = _cayley_sylvester(coeffs, m)
-        if mult:
-            decomp[n * d - 2 * m] = mult
-    return decomp
+    mults = _box_multiplicities(n, d)
+    return {i: mults[i] for i in range(len(mults) - 1, -1, -2) if mults[i]}
 
 
 def rational_nullspace(images: list[dict]) -> list[dict]:
@@ -179,11 +174,11 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     its keys all have one size and come in the domain's lexicographically
     decreasing order."""
     part, a, b = rho2_constants(n, d)["lower"]
-    counts = _box_binomial(n, d)
+    mults = _box_multiplicities(n, d)
     out, domain = [], []
     for m in range(n * d // 2 + 1):
         below, domain = domain, list(partitions(m, n, d))
-        expected = _cayley_sylvester(counts, m)
+        expected = mults[n * d - 2 * m]
         if not expected:
             continue
         rank = {mu: i for i, mu in enumerate(reversed(below))}

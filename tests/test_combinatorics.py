@@ -262,6 +262,11 @@ def test_non_int_sizes_raise():
     assert list(partitions(4, True)) == [(4,)] and alpha_tuples(2, 2) == [(0,), (1,)]
 
 
+def clear_table_caches():
+    combinatorics._BINOMIALS.clear()
+    combinatorics._MULTIPLICITIES.clear()
+
+
 def test_small_tables_refuse_non_ints_whatever_ran_before():
     # an untyped Gaussian binomial cache would answer (4.0, 2) from a cached
     # (4, 2), so every table is tried with non-ints before and after ints
@@ -272,10 +277,10 @@ def test_small_tables_refuse_non_ints_whatever_ran_before():
         "gamma a": lambda x: gamma(2 * x, 2, 1),
         "gamma n": lambda x: gamma(4, x, 1),
     }
-    combinatorics.gaussian_binomial.cache_clear()
+    clear_table_caches()
     expected = {name: table(2) for name, table in tables.items()}
     for ints_first in (True, False):
-        combinatorics.gaussian_binomial.cache_clear()
+        clear_table_caches()
         for name, table in tables.items():
             if ints_first:
                 assert table(2) == expected[name]
@@ -300,12 +305,59 @@ def test_weight_index_must_be_an_int():
 
 
 def test_gaussian_binomial_refuses_non_ints_whatever_ran_before():
-    # the cache is typed, so a cached (4, 2) does not answer (4.0, 2)
+    # the cache is read only for ints, so a cached (4, 2) does not answer
+    # (4.0, 2), which hashes and compares equal to it
     for ints_first in (True, False):
-        combinatorics.gaussian_binomial.cache_clear()
+        clear_table_caches()
         if ints_first:
             assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
         for a, k in ((4.0, 2), (Fraction(4), 2), (4, 2.0), (4, Fraction(2))):
             with pytest.raises(TypeError, match="integer"):
                 gaussian_binomial(a, k)
         assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
+
+
+def test_gamma_refuses_n_zero_from_a_cached_binomial():
+    # [a choose 0] is cached by gaussian_binomial itself and by the 0 x d
+    # box, and gamma still needs n >= 1
+    for cache in (lambda: gaussian_binomial(5, 0), lambda: decompose_finite(0, 5)):
+        clear_table_caches()
+        assert cache() in ((1,), {0: 1})
+        assert (5, 0) in combinatorics._BINOMIALS
+        with pytest.raises(ValueError, match="need n >= 1"):
+            gamma(5, 0, 0)
+
+
+def test_sylvester_cayley_refuses_non_int_boxes_from_a_cached_table():
+    # (2.0, 2) and (2, Fraction(2)) hash and compare equal to the cached (2, 2)
+    clear_table_caches()
+    assert sylvester_cayley(2, 2, 2) == 0 and sylvester_cayley(2, 2, 4) == 1
+    assert (2, 2) in combinatorics._MULTIPLICITIES
+    for n, d in ((2.0, 2), (2, Fraction(2))):
+        with pytest.raises(TypeError, match="integer"):
+            sylvester_cayley(n, d, 2)
+        with pytest.raises(TypeError, match="integer"):
+            decompose_finite(n, d)
+    assert sylvester_cayley(2, 2, 4) == 1
+
+
+def test_table_caches_stay_bounded_and_answer_correctly():
+    from math import comb
+
+    clear_table_caches()
+    pairs = [(a, k) for a in range(46) for k in range(a + 1)]
+    assert len(pairs) > combinatorics._CACHE_SIZE == 1024
+    first = {}
+    for a, k in pairs:
+        first[a, k] = gaussian_binomial(a, k)
+        assert len(combinatorics._BINOMIALS) <= 1024
+    for a, k in pairs:
+        assert gaussian_binomial(a, k) == first[a, k] and sum(first[a, k]) == comb(a, k)
+        assert k == 0 or tuple(gamma(a, k, i) for i in range(len(first[a, k]))) == first[a, k]
+    assert len(combinatorics._BINOMIALS) <= 1024
+    boxes = [(n, d) for n in (1, 2) for d in range(520)]
+    assert len(boxes) > 1024
+    for n, d in boxes:
+        assert sum((i + 1) * sylvester_cayley(n, d, i) for i in range(n * d + 1)) == comb(n + d, n)
+        assert len(combinatorics._MULTIPLICITIES) <= 1024
+    assert [sylvester_cayley(4, 2, i) for i in range(9)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]

@@ -44,8 +44,26 @@ MUTANTS = [
      "low = left - (base[r] - base[-1] - 1)", "killed"),
     # the lower bound also keeps the walk inside n rows: without it, IndexError
     ("lr-no-lower-bound", "symfunc.py", "low = left - (base[r] - base[-1])", "low = 0", "killed"),
-    ("cayley-sylvester-m1", "combinatorics.py", "coeffs[m] - coeffs[m - 1] if m else coeffs[0]",
-     "coeffs[m] - coeffs[m - 1] if m > 1 else coeffs[m]", "killed"),
+    ("cayley-sylvester-m1", "combinatorics.py", "map(sub, half, (0,) + half)",
+     "map(sub, half, (0, 0) + half[1:])", "killed"),
+    # each cache lookup of a table is made only for ints, since 4.0 == 4
+    ("binomial-hit-type", "combinatorics.py", "if type(a) is int and type(k) is int:\n        coeffs",
+     "if True:\n        coeffs", "killed"),
+    ("gamma-hit-type", "combinatorics.py", "if type(a) is int and type(n) is int and n > 0",
+     "if n > 0", "killed"),
+    ("gamma-n-positive", "combinatorics.py", "type(n) is int and n > 0 else None",
+     "type(n) is int else None", "killed"),
+    ("box-hit-type", "combinatorics.py", "if type(n) is int and type(d) is int:\n        mults",
+     "if True:\n        mults", "killed"),
+    ("cayley-hit-type", "combinatorics.py",
+     "_MULTIPLICITIES.get((n, d)) if type(n) is int and type(d) is int else None",
+     "_MULTIPLICITIES.get((n, d))", "killed"),
+    ("cache-unbounded", "combinatorics.py", "if len(cache) >= _CACHE_SIZE:\n            cache.clear()\n",
+     "", "killed"),
+    ("rho2-kernel-count", "sl2_actions.py", "if len(kernel) != expected:", "if False:", "killed"),
+    ("poly-scalar-engine", "polyring.py",
+     "return self._closed(self.n, {e: c * other for e, c in self.terms.items()})",
+     "return SparseVector.__mul__(self, other)", "killed"),
     ("divided-gcd", "vector.py", "if g == den:\n                out[key] = x // den",
      "if g == 1:\n                out[key] = x // den", "killed"),
     ("divided-sign", "vector.py", "return _divided(((key, -x) for key, x in items), -den)",
