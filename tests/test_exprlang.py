@@ -101,42 +101,80 @@ def test_parse_examples():
     )
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError) as exc:
-        parse("s[1,2]")
-    assert "weakly decreasing" in str(exc.value)
-    assert exc.value.position == 5
-
-    with pytest.raises(ParseError):
-        parse("s[2,1")
-    with pytest.raises(ParseError):
-        parse("p[]")
-    with pytest.raises(ParseError):
-        parse("p[1,2]")
-    with pytest.raises(ParseError):
-        parse("s[0]")
-    with pytest.raises(ParseError):
-        parse("2 +")
-    with pytest.raises(ParseError):
-        parse("q[1]")
-    with pytest.raises(ParseError) as exc:
-        parse("s[1] ? 2")
-    assert exc.value.position == 6
-    with pytest.raises(ParseError):
-        parse("1/0")
+# one case for each place the parser raises, with its exact message and
+# 1-based position: a found token is shown as an int, a quoted character or
+# "end of input", which sits one past the last character
+_PARSE_ERRORS = [
+    # characters outside the grammar, reported before any syntax error
+    ("s[1] ? 2", "unexpected character '?'", 6),
+    ("q[1]", "unexpected character 'q'", 1),
+    (") ?", "unexpected character '?'", 3),
+    ("\N{NO-BREAK SPACE}1 +\N{INFORMATION SEPARATOR FOUR}\N{LATIN SMALL LETTER E WITH ACUTE}",
+     "unexpected character '\N{LATIN SMALL LETTER E WITH ACUTE}'", 6),
     # digits are ASCII 0-9 only: other Unicode digits are not read as numbers
-    for text, position in (("s[\N{SUPERSCRIPT TWO}]", 3), ("s[\N{ARABIC-INDIC DIGIT THREE}]", 3),
-                           ("2\N{SUPERSCRIPT TWO}", 2)):
-        with pytest.raises(ParseError, match="^unexpected character") as exc:
-            parse(text)
-        assert exc.value.position == position
+    ("s[\N{SUPERSCRIPT TWO}]", "unexpected character '\N{SUPERSCRIPT TWO}'", 3),
+    ("2\N{SUPERSCRIPT TWO}", "unexpected character '\N{SUPERSCRIPT TWO}'", 2),
+    ("s[\N{ARABIC-INDIC DIGIT THREE}]", "unexpected character '\N{ARABIC-INDIC DIGIT THREE}'", 3),
+    ("s[/]", "expected 'nat', found '/'", 3),
+    ("s[,1]", "expected 'nat', found ','", 3),
+    ("s[s]", "expected 'nat', found 's'", 3),
+    ("1/)", "expected 'nat', found ')'", 3),
+    ("s[1]^/", "expected 'nat', found '/'", 6),
+    ("s[", "expected 'nat', found end of input", 3),
+    ("s[1,", "expected 'nat', found end of input", 5),
+    ("s[1]^", "expected 'nat', found end of input", 6),
+    ("1/", "expected 'nat', found end of input", 3),
+    ("s1", "expected '[', found 1", 2),
+    ("s 12", "expected '[', found 12", 3),
+    ("s/", "expected '[', found '/'", 2),
+    ("s,", "expected '[', found ','", 2),
+    ("s", "expected '[', found end of input", 2),
+    ("s[1 2]", "expected ']', found 2", 5),
+    ("s[1/", "expected ']', found '/'", 4),
+    ("s[1", "expected ']', found end of input", 4),
+    ("s[2,1", "expected ']', found end of input", 6),
+    ("(1 2)", "expected ')', found 2", 4),
+    ("(1,2)", "expected ')', found ','", 3),
+    ("(1", "expected ')', found end of input", 3),
+    ("(1/2", "expected ')', found end of input", 5),
+    ("(3)/4", "unexpected token '/'", 4),
+    ("1 2", "unexpected token 2", 3),
+    ("123 456 + 7", "unexpected token 456", 5),
+    ("s[1]]", "unexpected token ']'", 5),
+    ("\N{NO-BREAK SPACE} s[1]\N{NO-BREAK SPACE}\N{NO-BREAK SPACE})", "unexpected token ')'", 9),
+    ("", "expected an expression, found end of input", 1),
+    ("2 +", "expected an expression, found end of input", 4),
+    ("*2", "expected an expression, found '*'", 1),
+    (")", "expected an expression, found ')'", 1),
+    ("s[1] + ,", "expected an expression, found ','", 8),
+    ("p[]", "p[] needs an index", 3),
+    ("h[]", "h[] needs an index", 3),
+    ("s[0]", "partition parts must be positive", 3),
+    ("y[2,0]", "partition parts must be positive", 5),
+    ("s[1,2]", "partition not weakly decreasing", 5),
+    ("s[ 12 ,\t 345 ]", "partition not weakly decreasing", 10),
+    ("p[1,2]", "p[...] takes a single index", 5),
+    ("e[3,0]", "e[...] takes a single index", 5),
+    ("p[0]", "index must be positive", 3),
+    ("1/0", "zero denominator", 3),
+]
 
-    # at the end of the input the message names it, at the same position
-    for text, position in (("", 1), ("s[1", 4)):
-        with pytest.raises(ParseError) as exc:
-            parse(text)
-        assert "end of input" in str(exc.value) and "None" not in str(exc.value)
-        assert exc.value.position == position
+
+@pytest.mark.parametrize("text, message, position", _PARSE_ERRORS)
+def test_parse_error_table(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} at position {position}"
+    assert exc.value.position == position
+
+
+def test_parse_errors():
+    # every digit run is converted to an int before parsing starts, so a
+    # literal past CPython's 4,300-digit limit is refused even where the
+    # parser would have stopped before reaching it
+    with pytest.raises(ValueError, match="4300") as exc:
+        parse("s[1] ) " + "9" * 5000)
+    assert not isinstance(exc.value, ParseError)
 
 
 @given(expressions())
