@@ -14,6 +14,7 @@ Expressions are parsed into tuple trees:
     ('add', a, b), ('sub', a, b), ('mul', a, b), ('pow', e, k).
 """
 
+import re
 from fractions import Fraction
 from operator import add, sub
 
@@ -43,136 +44,128 @@ class _EndOfInput:
         return "end of input"
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("nat", int(text[i:j]), i + 1))
-            i = j
-        elif ch in ATOM_LETTERS:
-            tokens.append(("letter", ch, i + 1))
-            i += 1
-        elif ch in "+-*^()[],/":
-            tokens.append((ch, ch, i + 1))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(("end", _EndOfInput(), len(text) + 1))
-    return tokens
+_END = _EndOfInput()
+_LETTERS = frozenset(ATOM_LETTERS)
+_TOKEN = re.compile(r"[0-9]+|\S")
+_FOREIGN = re.compile(rf"[^\s0-9{ATOM_LETTERS}+\-*^()\[\],/]")
 
 
 class _Parser:
+    """Recursive descent over the tokens: runs of ASCII digits as ints, any
+    other non-space character as itself, then _END.  A character outside the
+    grammar is refused first; token positions are found only for a ParseError."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        foreign = _FOREIGN.search(text)
+        if foreign:
+            raise ParseError(f"unexpected character {foreign.group()!r}", foreign.start() + 1)
+        self.text, self.pos = text, 0
+        # digit runs are the only tokens from "0" up to ":", the character after "9"
+        self.tokens = [int(t) if "0" <= t < ":" else t for t in _TOKEN.findall(text)]
+        self.tokens.append(_END)
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> ParseError:
+        starts = [m.start() + 1 for m in _TOKEN.finditer(self.text)]
+        return ParseError(message, starts[index] if index < len(starts) else len(self.text) + 1)
 
-    def take(self, kind):
+    def take(self, kind: str):
+        """The next token, which must be a nat or the character `kind`."""
         tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        if type(tok) is not int if kind == "nat" else tok != kind:
+            raise self.error(f"expected {kind!r}, found {tok!r}", self.pos)
         self.pos += 1
         return tok
 
-    def parse(self):
-        e = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return e
-
     def expr(self):
         e = self.term()
-        while self.peek()[0] in ("+", "-"):
-            kind = self.take(self.peek()[0])[0]
-            rhs = self.term()
-            e = ("add" if kind == "+" else "sub", e, rhs)
+        while self.tokens[self.pos] in ("+", "-"):
+            kind = "add" if self.tokens[self.pos] == "+" else "sub"
+            self.pos += 1
+            e = (kind, e, self.term())
         return e
 
     def term(self):
         e = self.factor()
-        while self.peek()[0] == "*":
-            self.take("*")
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
             e = ("mul", e, self.factor())
         return e
 
     def factor(self):
         e = self.base()
-        if self.peek()[0] == "^":
-            self.take("^")
-            k = self.take("nat")[1]
-            e = ("pow", e, k)
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
+            e = ("pow", e, self.take("nat"))
         return e
 
     def base(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.take("-")
+        tok = self.tokens[self.pos]
+        if type(tok) is int:
+            self.pos += 1
+            if self.tokens[self.pos] != "/":
+                return ("num", Fraction(tok))
+            self.pos += 1
+            den = self.take("nat")
+            if den == 0:
+                raise self.error("zero denominator", self.pos - 1)
+            return ("num", Fraction(tok, den))
+        if tok in _LETTERS:
+            self.pos += 1
+            return self.atom(tok)
+        if tok == "-":
+            self.pos += 1
             return ("neg", self.factor())
-        if tok[0] == "(":
-            self.take("(")
+        if tok == "(":
+            self.pos += 1
             e = self.expr()
             self.take(")")
             return e
-        if tok[0] == "nat":
-            self.take("nat")
-            num = tok[1]
-            if self.peek()[0] == "/":
-                self.take("/")
-                dtok = self.take("nat")
-                if dtok[1] == 0:
-                    raise ParseError("zero denominator", dtok[2])
-                return ("num", Fraction(num, dtok[1]))
-            return ("num", Fraction(num))
-        if tok[0] == "letter":
-            return self.atom()
-        raise ParseError(f"expected an expression, found {tok[1]!r}", tok[2])
+        raise self.error(f"expected an expression, found {tok!r}", self.pos)
 
-    def atom(self):
-        letter_tok = self.take("letter")
-        letter = letter_tok[1]
+    def atom(self, letter: str):
         self.take("[")
-        parts = []
-        if self.peek()[0] == "]":
-            if letter not in ("s", "y"):
-                raise ParseError(f"{letter}[] needs an index", self.peek()[2])
-            self.take("]")
+        if self.tokens[self.pos] == "]":
+            if letter not in "sy":
+                raise self.error(f"{letter}[] needs an index", self.pos)
+            self.pos += 1
             return ("atom", letter, ())
-        while True:
-            tok = self.take("nat")
-            parts.append((tok[1], tok[2]))
-            if self.peek()[0] == ",":
-                self.take(",")
-                continue
-            self.take("]")
-            break
-        if letter in ("s", "y"):
-            for idx, (p, pos) in enumerate(parts):
+        first = self.pos  # part i is token first + 2*i, after i commas
+        parts = [self.take("nat")]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            parts.append(self.take("nat"))
+        self.take("]")
+        if letter in "sy":
+            for i, p in enumerate(parts):
                 if p < 1:
-                    raise ParseError("partition parts must be positive", pos)
-                if idx and parts[idx - 1][0] < p:
-                    raise ParseError("partition not weakly decreasing", pos)
-        else:
-            if len(parts) != 1:
-                raise ParseError(f"{letter}[...] takes a single index", parts[1][1])
-            if parts[0][0] < 1:
-                raise ParseError("index must be positive", parts[0][1])
-        return ("atom", letter, tuple(p for p, _ in parts))
+                    raise self.error("partition parts must be positive", first + 2 * i)
+                if i and parts[i - 1] < p:
+                    raise self.error("partition not weakly decreasing", first + 2 * i)
+        elif len(parts) != 1:
+            raise self.error(f"{letter}[...] takes a single index", first + 2)
+        elif parts[0] < 1:
+            raise self.error("index must be positive", first)
+        return ("atom", letter, tuple(parts))
 
 
 def parse(text: str):
     """Parse `text` into an expression tree."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    e = parser.expr()
+    if parser.tokens[parser.pos] is not _END:
+        raise parser.error(f"unexpected token {parser.tokens[parser.pos]!r}", parser.pos)
+    return e
+
+
+def _left_spine(e):
+    """The first non-binary node down the left operands of `e`, and the
+    (kind, right operand) of each binary node above it, innermost first."""
+    steps = []
+    while e[0] in _BINARY:
+        steps.append((e[0], e[2]))
+        e = e[1]
+    steps.reverse()
+    return e, steps
 
 
 def degree(e) -> int:
@@ -188,10 +181,12 @@ def degree(e) -> int:
         return degree(e[1])
     if kind == "pow":
         return e[2] * degree(e[1])
-    if kind == "mul":
-        return degree(e[1]) + degree(e[2])
-    if kind in ("add", "sub"):
-        return max(degree(e[1]), degree(e[2]))
+    if kind in _BINARY:
+        first, steps = _left_spine(e)
+        d = degree(first)
+        for kind, rhs in steps:
+            d = d + degree(rhs) if kind == "mul" else max(d, degree(rhs))
+        return d
     raise ValueError(f"unknown node {kind!r}")
 
 
@@ -225,12 +220,17 @@ def _eval_schur(e, n: int, allow_diagram_atoms: bool):
     if kind == "pow":
         return _eval_schur(e[1], n, allow_diagram_atoms) ** e[2]
     if kind in _BINARY:
-        lhs, rhs = (_eval_schur(arg, n, allow_diagram_atoms) for arg in e[1:])
-        if kind == "mul" and Fraction in (type(lhs), type(rhs)):
-            return lhs * rhs
-        if type(lhs) is not type(rhs):
-            lhs, rhs = (x * SchurVector.unit(n) if type(x) is Fraction else x for x in (lhs, rhs))
-        return _BINARY[kind](lhs, rhs)
+        first, steps = _left_spine(e)
+        lhs = _eval_schur(first, n, allow_diagram_atoms)
+        for kind, arg in steps:
+            rhs = _eval_schur(arg, n, allow_diagram_atoms)
+            if kind == "mul" and Fraction in (type(lhs), type(rhs)):
+                lhs = lhs * rhs
+                continue
+            if type(lhs) is not type(rhs):
+                lhs, rhs = (x * SchurVector.unit(n) if type(x) is Fraction else x for x in (lhs, rhs))
+            lhs = _BINARY[kind](lhs, rhs)
+        return lhs
     raise ValueError(f"unknown node {kind!r}")
 
 

@@ -6,6 +6,7 @@ from decimal import Decimal
 import pytest
 
 from sl2sym.cli import build_parser, format_terms, main
+from sl2sym.exprlang import evaluate, parse
 from sl2sym.sl2_actions import act_rho1
 from sl2sym.symfunc import SchurVector
 from sl2sym.vector import box_operator
@@ -351,3 +352,18 @@ def test_deep_nesting_exits_2_without_traceback(capsys):
     )
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_long_flat_sum_round_trips(capsys):
+    # a 638-term image read back as input: a flat sum of any length is
+    # accepted, while parentheses nested past the recursion limit exit 2
+    lower = ["act", "--rep", "rho1", "--op", "lower", "--n", "8", "--expr", "s[1]^23"]
+    code, out, _ = run_cli(capsys, *lower)
+    assert code == 0 and out.count("s[") == 638
+    code, back, err = run_cli(capsys, "act", "--rep", "rho1", "--op", "cartan", "--n", "8", "--expr", out.strip())
+    assert code == 0 and not err
+    expected = act_rho1("cartan", act_rho1("lower", SchurVector.basis(8, (1,)) ** 23))
+    assert evaluate(parse(back), 8) == expected
+    nest = "(" * 3000 + "s[1]" + ")" * 3000
+    code, out, err = run_cli(capsys, "act", "--rep", "rho1", "--op", "cartan", "--n", "8", "--expr", nest)
+    assert code == 2 and not out and err.startswith("error: ")

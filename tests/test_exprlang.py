@@ -1,3 +1,6 @@
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sl2sym import exprlang
-from sl2sym.exprlang import EvalError, ParseError, evaluate, parse
+from sl2sym.exprlang import EvalError, ParseError, degree, evaluate, parse
 from sl2sym.symfunc import SchurVector, multiply, power_sum_schur, z_generator_schur
 from sl2sym.young import DiagramVector
 
@@ -181,6 +184,55 @@ def test_parse_errors():
 @settings(max_examples=200, deadline=None)
 def test_print_parse_round_trip(expr):
     assert parse(print_expr(expr)) == expr
+
+
+# the grammar's characters, whitespace that is not ASCII, and a few
+# characters outside the grammar, two of them digits that are not ASCII
+_TEXT_ALPHABET = ("0123456789speyh+-*^()[],/ \t\n\N{NO-BREAK SPACE}\N{INFORMATION SEPARATOR FOUR}"
+                  "?q\N{SUPERSCRIPT TWO}\N{ARABIC-INDIC DIGIT THREE}")
+
+
+@given(st.text(alphabet=_TEXT_ALPHABET, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_fails_at_a_position_in_it(text):
+    try:
+        tree = parse(text)
+    except ParseError as exc:
+        assert 1 <= exc.position <= len(text) + 1
+    else:
+        assert parse(print_expr(tree)) == tree
+
+
+def test_token_classes_over_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    # the tokens leave out exactly the characters str.isspace() names
+    spaces = "".join(filter(str.isspace, every))
+    assert exprlang._TOKEN.sub("", every) == spaces
+    # only ASCII digits run together into one token
+    runs = [t for start in range(0, len(every), 4096)
+            for t in exprlang._TOKEN.findall(every, start, start + 4096) if len(t) > 1]
+    assert runs == ["0123456789"]
+    # every other character is refused before parsing
+    grammar = "".join(c for c in every if c in "0123456789speyh+-*^()[],/" or c.isspace())
+    assert exprlang._FOREIGN.sub("", every) == grammar
+
+
+def test_flat_sums_and_products_need_no_recursion():
+    # a flat chain is evaluated along its left spine in a loop, whatever its length
+    rng = random.Random(5)
+    terms = Counter()
+    text = []
+    for i in range(5000):
+        lam = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 3))), reverse=True))
+        sign = -1 if i and rng.random() < 0.3 else 1
+        terms[lam] += sign
+        text.append(("- " if sign < 0 else "+ " if i else "") + f"s[{','.join(map(str, lam))}]")
+    tree = parse(" ".join(text))
+    assert evaluate(tree, 3) == SchurVector(3, terms)
+    assert degree(tree) == max(map(sum, terms))
+    tree = parse("2*" * 1999 + "s[2]")
+    assert evaluate(tree, 3) == SchurVector(3, {(2,): 2 ** 1999})
+    assert degree(tree) == 2
 
 
 def test_evaluate_examples():

@@ -75,6 +75,18 @@ MUTANTS = [
     ("power-any-exponent", "vector.py", "        k = index(k)\n", "", "killed"),
     ("rho1-basis-generator", "sl2_actions.py", "z_generator_schur(i + 1, n)", "z_generator_schur(i, n)", "killed"),
     ("format-fraction-space", "cli.py", 'out.append(f"{num}/{den}*")', 'out.append(f"{num} / {den}*")', "killed"),
+    ("token-digit-class", "exprlang.py", r're.compile(r"[0-9]+|\S")', r're.compile(r"\d+|\S")', "killed"),
+    ("foreign-check", "exprlang.py", "foreign = _FOREIGN.search(text)", "foreign = None", "killed"),
+    ("error-position", "exprlang.py", "starts = [m.start() + 1 for m", "starts = [m.start() for m", "killed"),
+    # each digit run converted only when the parser reads it: an over-long
+    # literal after a syntax error is then never converted
+    ("lazy-digit-runs", "exprlang.py",
+     'self.tokens = [int(t) if "0" <= t < ":" else t for t in _TOKEN.findall(text)]',
+     "class Lazy(list):\n"
+     "            def __getitem__(self, i):\n"
+     "                t = list.__getitem__(self, i)\n"
+     '                return int(t) if type(t) is str and "0" <= t < ":" else t\n'
+     "        self.tokens = Lazy(_TOKEN.findall(text))", "killed"),
     # the nullspace's output does not depend on which key a pivot clears
     ("pivot-key", "sl2_actions.py", "pivots.append((min(v), v, len(pivots)))",
      "pivots.append((max(v), v, len(pivots)))", "equivalent"),
