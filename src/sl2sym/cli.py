@@ -5,6 +5,7 @@ with deterministic field and term order."""
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -249,13 +250,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.handler(args)
+        if not isinstance(out, int):  # verify prints its own report
+            print(out)
+            out = 0
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (ParseError, EvalError, ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(out, int):  # verify printed its report
-        return out
-    print(out)
-    return 0
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so that the
+        # flush at exit cannot fail again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return out
 
 
 if __name__ == "__main__":

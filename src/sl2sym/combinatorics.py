@@ -2,7 +2,9 @@
 Gaussian binomial coefficients, which count the partitions in a
 rectangle, and the Cayley-Sylvester multiplicity formula."""
 
+import sys
 from itertools import accumulate
+from math import comb
 from operator import index, sub
 from threading import Lock
 
@@ -83,9 +85,15 @@ def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
     """Coefficients, ascending in T, of the Gaussian binomial [a choose k]
     = prod_{j=1..k} (1 - T^(a-k+j)) / (1 - T^j), a polynomial of degree
     k*(a-k), for ints a and k; a cached (4, 2) never answers (4.0, 2).
-    Built one factor at a time, for the smaller of k and a-k (the two
-    give the same polynomial): after step j the list holds
-    [a-k+j choose j], each division exact or ArithmeticError."""
+    Built for the smaller of k and a-k (the two give the same polynomial).
+    The coefficients are nonnegative and sum to C(a, k), so while
+    C(a, k) < 2**32 each fits a 32-bit word: both products, signs flipped,
+    are evaluated at T = 2**32 as ints, divided once, and the quotient is
+    read one word per coefficient.  Larger binomials keep prefix sums,
+    since CPython's long division is quadratic (with 64-bit words it
+    already loses at [40 choose 20], about 660 against 400 us): one factor
+    at a time, after step j the list holds [a-k+j choose j].  Each
+    division is exact or raises ArithmeticError."""
     if type(a) is int and type(k) is int:
         coeffs = _BINOMIALS.get((a, k))
         if coeffs is not None:
@@ -94,6 +102,16 @@ def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
     if k < 0 or a < k:
         raise ValueError(f"need 0 <= k <= a, got a={a}, k={k}")
     key, k = (a, k), min(k, a - k)
+    if not comb(a, k) >> 32:
+        num = den = 1
+        for j in range(1, k + 1):
+            num, den = (num << 32 * (a - k + j)) - num, (den << 32 * j) - den
+        q, r = divmod(num, den)
+        if r:
+            raise ArithmeticError("polynomial division left a remainder")
+        # to_bytes writes the words in the machine's byte order, which cast("I") reads
+        words = memoryview(q.to_bytes(4 * (k * (a - k) + 1), sys.byteorder)).cast("I")
+        return _remember(_BINOMIALS, key, tuple(words))
     coeffs = [1]
     for j in range(1, k + 1):
         m = a - k + j

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import re
 import sys
 from decimal import Decimal
@@ -270,6 +272,40 @@ def test_suite_that_raises_is_one_fail(capsys, monkeypatch):
         "FAIL commutators/suite raised: ValueError: partition (2,) violates the column bound 1",
         "0/1 checks passed",
     ]
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a file the test owns."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--rep", "rho1", "--op", "cartan", "--n", "4", "--expr", "s[2,1] + s[3]"],
+    ["verify", "--suite", "identities"],  # verify prints its lines itself
+])
+def test_closed_stdout_exits_1_with_nothing_on_stderr(capsys, monkeypatch, tmp_path, argv):
+    """As the Python docs' SIGPIPE note does: stdout goes to devnull, so that
+    the flush at exit cannot raise again, and the exit code is 1."""
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(argv) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+        os.write(fd, b"after the pipe closed")
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""
 
 
 def test_format_terms():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -361,3 +362,43 @@ def test_table_caches_stay_bounded_and_answer_correctly():
         assert sum((i + 1) * sylvester_cayley(n, d, i) for i in range(n * d + 1)) == comb(n + d, n)
         assert len(combinatorics._MULTIPLICITIES) <= 1024
     assert [sylvester_cayley(4, 2, i) for i in range(9)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def q_pascal(top: int) -> dict:
+    """{(a, k): coefficients of [a choose k]} for 0 <= k <= a <= top, by
+    [a choose k] = [a-1 choose k-1] + T^k [a-1 choose k]."""
+    table = {(0, 0): [1]}
+    for a in range(1, top + 1):
+        for k in range(a + 1):
+            left = table.get((a - 1, k - 1), [])
+            right = [0] * k + table[a - 1, k] if k < a else []
+            table[a, k] = [x + y for x, y in zip_longest(left, right, fillvalue=0)]
+    return table
+
+
+def test_gaussian_binomial_equals_q_pascal_on_both_sides_of_the_word_rule():
+    # below C(a, k) = 2**32 the binomial is read from 32-bit words; from
+    # a = 42 on, a coefficient needs more than 32 bits
+    expected = q_pascal(44)
+    assert max(max(c) for (a, _), c in expected.items() if a == 41) < 2**32
+    assert max(max(c) for (a, _), c in expected.items() if a == 42) >= 2**32
+    clear_table_caches()
+    for (a, k), coeffs in expected.items():
+        got = gaussian_binomial(a, k)
+        assert got == tuple(coeffs), (a, k)
+        assert all(type(c) is int for c in got)
+
+
+def test_gaussian_binomial_takes_the_word_path_below_two_to_the_32(monkeypatch):
+    from math import comb
+
+    prefix_sums = []
+    divide = combinatorics._divide_by_one_minus
+    monkeypatch.setattr(combinatorics, "_divide_by_one_minus",
+                        lambda coeffs, step: prefix_sums.append(step) or divide(coeffs, step))
+    assert comb(34, 17) < 2**32 <= comb(35, 17)
+    clear_table_caches()
+    gaussian_binomial(34, 17)
+    assert prefix_sums == []
+    gaussian_binomial(35, 17)
+    assert prefix_sums == list(range(1, 18))

@@ -58,6 +58,12 @@ MUTANTS = [
     ("cayley-hit-type", "combinatorics.py",
      "_MULTIPLICITIES.get((n, d)) if type(n) is int and type(d) is int else None",
      "_MULTIPLICITIES.get((n, d))", "killed"),
+    # a binomial is read from 32-bit words only while C(a, k) < 2**32 bounds its
+    # coefficients: from [42 choose 21] on, one needs more than 32 bits
+    ("binomial-word-bound", "combinatorics.py", "if not comb(a, k) >> 32:", "if not comb(a, k) >> 64:",
+     "killed"),
+    ("binomial-word-factor", "combinatorics.py", "(num << 32 * (a - k + j)) - num",
+     "(num << 32 * (a - k + j + 1)) - num", "killed"),
     ("cache-unbounded", "combinatorics.py", "if len(cache) >= _CACHE_SIZE:\n            cache.clear()\n",
      "", "killed"),
     ("rho2-kernel-count", "sl2_actions.py", "if len(kernel) != expected:", "if False:", "killed"),
