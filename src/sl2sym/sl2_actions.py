@@ -2,13 +2,14 @@
 lowest-weight (kernel) computation, the decomposition into irreducibles and
 the characters."""
 
+from collections import defaultdict
 from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from .combinatorics import _box_binomial, _box_multiplicities, alpha_degree, alpha_tuples, partitions
+from .combinatorics import _box_binomial, _box_multiplicities, alpha_degree, alpha_tuples
 from .symfunc import SchurVector, multiply, z_generator_schur
-from .vector import _divided, _integers, _walk, box_operator, op_constants
+from .vector import _divided, _integers, box_operator, op_constants
 
 
 class LowestWeightVector(NamedTuple):
@@ -155,6 +156,33 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
     return kernel
 
 
+def _rho2_levels(n: int, d: int):
+    """The levels of the rho2 lowering kernel in the n x d box, m = 0..nd//2,
+    as (m, domain, images): the partitions of m in the box, lexicographically
+    decreasing, and the lowering image of each as {rank: weight}, ranking the
+    partitions of m - 1 in increasing order (the domain below, reversed).  A
+    level comes from one pass over the level below: lam = mu less a cell gives
+    mu the term rank(lam) with weight a + b*content(cell), in increasing rank,
+    so each image lists its targets top to bottom as the box operator does."""
+    _, a, b = rho2_constants(n, d)["lower"]
+    domain = [()]
+    yield 0, domain, [{}]
+    for m in range(1, n * d // 2 + 1):
+        by_mu = defaultdict(dict)
+        for i, lam in enumerate(reversed(domain)):
+            cells, above = list(lam), d  # a row may grow up to the row above, the first to d
+            for r, p in enumerate(lam):
+                if p < above:  # cell (r + 1, p + 1)
+                    cells[r] = p + 1
+                    by_mu[tuple(cells)][i] = a + b * (p - r)
+                    cells[r] = p
+                above = p
+            if len(lam) < n:  # cell (len(lam) + 1, 1)
+                by_mu[lam + (1,)][i] = a - b * len(lam)
+        domain = sorted(by_mu, reverse=True)
+        yield m, domain, [by_mu[mu] for mu in domain]
+
+
 def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     """Basis of the lowering kernel inside the n x d box, computed per
     cartan-weight component as the exact kernel of the lowering images of
@@ -164,25 +192,22 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     sl2-module, in which lowering is injective on positive weights.  Of
     those, the weights whose Cayley-Sylvester count is 0 are skipped, and
     each other weight must give exactly its count of kernel vectors, or
-    ArithmeticError is raised.  Each image is walked afresh (`_walk`, no
-    partition index) and keyed by the rank of its target among the
-    partitions of m - 1 in the box, lexicographically increasing, so the
+    ArithmeticError is raised.  Each level comes from the one below in one
+    pass (`_rho2_levels`), each image keyed by the rank of its target among
+    the partitions of m - 1 in the box, lexicographically increasing, so the
     reduction runs over small ints and clears the same smallest partition
     as over partition keys.  The lowering weights n + content are positive
     in the box, so no image has a zero coefficient.  Each vector's terms
     are in canonical order as built (`sorted_terms` gives the same list):
     its keys all have one size and come in the domain's lexicographically
     decreasing order."""
-    part, a, b = rho2_constants(n, d)["lower"]
     mults = _box_multiplicities(n, d)
-    out, domain = [], []
-    for m in range(n * d // 2 + 1):
-        below, domain = domain, list(partitions(m, n, d))
+    out = []
+    for m, domain, images in _rho2_levels(n, d):
         expected = mults[n * d - 2 * m]
         if not expected:
             continue
-        rank = {mu: i for i, mu in enumerate(reversed(below))}
-        kernel = rational_nullspace(_walk(domain, part, rank.__getitem__, a, b))
+        kernel = rational_nullspace(images)
         if len(kernel) != expected:
             raise ArithmeticError(f"weight {2 * m - n * d} of the {n} x {d} box has "
                                   f"{len(kernel)} kernel vectors, not {expected}")

@@ -58,35 +58,40 @@ def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
     out = {}
 
     def fill(k, r, base, shape, counts, prev, left, budget):
-        # Place the `left` remaining cells of letter k from row r down, on
-        # top of `base` (the shape before letter k, padded to n rows).
+        # Place the `left` > 0 remaining cells of letter k from row r down,
+        # on top of `base` (the shape before letter k, padded to n rows).
         # prev[r] counts the letter k-1 in row r; `budget` is (k-1's in rows
         # < r) minus (k's in rows < r), the lattice bound on the k's allowed
-        # in row r.
-        if not left:
-            if k + 1 == len(mu):
-                nu = tuple(shape[:shape.index(0)] if shape[-1] == 0 else shape)
-                out[nu] = out.get(nu, 0) + 1
-            else:
-                fill(k + 1, 0, tuple(shape), shape, [0] * n, counts, mu[k + 1], 0)
-            return
-        # Horizontal strip: row r may not pass the old end of row r-1.
-        cap = left
-        if r and base[r - 1] - base[r] < cap:
-            cap = base[r - 1] - base[r]
-        if k and budget < cap:
-            cap = budget
-        # Rows r+1.. can take at most base[r] - base[-1] of the cells, each
-        # up to the old end of the row above, so row r takes the rest.  This
-        # also ends every filling by row n-1 and keeps cells out of the rows
-        # below an empty one.
-        low = left - (base[r] - base[-1])
-        for a in range(cap, low - 1 if low > 0 else -1, -1):
-            shape[r] = base[r] + a
-            counts[r] = a
-            fill(k, r + 1, base, shape, counts, prev, left - a, budget - a + prev[r])
-        shape[r] = base[r]
-        counts[r] = 0
+        # in row r.  Each row takes a = cap..1 cells, the letter's last cell
+        # starting the next letter or recording the shape, then none (a = 0).
+        while True:
+            # Horizontal strip: row r may not pass the old end of row r-1.
+            cap = left
+            if r and base[r - 1] - base[r] < cap:
+                cap = base[r - 1] - base[r]
+            if k and budget < cap:
+                cap = budget
+            # Rows r+1.. can take at most base[r] - base[-1] of the cells,
+            # each up to the old end of the row above, so row r takes the
+            # rest.  This also ends every filling by row n-1 and keeps cells
+            # out of the rows below an empty one.
+            low = left - (base[r] - base[-1])
+            for a in range(cap, low - 1 if low > 1 else 0, -1):
+                shape[r] = base[r] + a
+                counts[r] = a
+                if a < left:
+                    fill(k, r + 1, base, shape, counts, prev, left - a, budget - a + prev[r])
+                elif k + 1 < len(mu):
+                    fill(k + 1, 0, tuple(shape), shape, [0] * n, counts, mu[k + 1], 0)
+                else:
+                    nu = tuple(shape[:shape.index(0)] if shape[-1] == 0 else shape)
+                    out[nu] = out.get(nu, 0) + 1
+            shape[r] = base[r]
+            counts[r] = 0
+            if low > 0:
+                return
+            budget += prev[r]
+            r += 1
 
     start = list(lam) + [0] * (n - len(lam))
     fill(0, 0, tuple(start), start, [0] * n, [0] * n, mu[0], 0)

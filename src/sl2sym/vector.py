@@ -218,30 +218,26 @@ def _index(lam: tuple) -> int:
     return i
 
 
-def _walk(lams, part: str, key, a: int, b: int) -> list:
-    """The library's one walk over the corners of a partition, which stores
-    nothing: for each partition of `lams`, {key(mu): a + b*content} over
-    its `part` neighbours mu, top to bottom, the "add" ones ending with the
-    cell in the new row below it.  One pass over its rows, each neighbour
-    built by changing one entry of a list of the rows."""
-    out = []
-    for lam in lams:
-        rows, cells, image = len(lam), list(lam), {}
-        if part == "remove":
-            for r, p in enumerate(lam):
-                if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
-                    cells[r] = p - 1
-                    image[key(tuple(cells) if p > 1 else lam[:r])] = a + b * (p - r - 1)
-                    cells[r] = p
-        else:
-            for r, p in enumerate(lam):
-                if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
-                    cells[r] = p + 1
-                    image[key(tuple(cells))] = a + b * (p - r)
-                    cells[r] = p
-            image[key(lam + (1,))] = a - b * rows
-        out.append(image)
-    return out
+def _walk(lam: tuple, part: str) -> tuple:
+    """The corner walk of the box operator: ((_index(mu), content), ...)
+    over the `part` neighbours mu of `lam`, top to bottom, the "add" ones
+    ending with the cell in the new row below it.  One pass over its rows,
+    each neighbour built by changing one entry of a list of the rows."""
+    rows, cells, out = len(lam), list(lam), []
+    if part == "remove":
+        for r, p in enumerate(lam):
+            if r == rows - 1 or lam[r + 1] < p:  # cell (r + 1, p), content p - r - 1
+                cells[r] = p - 1
+                out.append((_index(tuple(cells) if p > 1 else lam[:r]), p - r - 1))
+                cells[r] = p
+    else:
+        for r, p in enumerate(lam):
+            if not r or lam[r - 1] > p:  # cell (r + 1, p + 1), content p - r
+                cells[r] = p + 1
+                out.append((_index(tuple(cells)), p - r))
+                cells[r] = p
+        out.append((_index(lam + (1,)), -rows))
+    return tuple(out)
 
 
 def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
@@ -285,8 +281,7 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
             c = c * m if type(c) is int else c._numerator * (m // c._denominator)
         nbrs = table.get(lam)
         if nbrs is None:
-            (image,) = _walk((lam,), part, _index, 0, 1)
-            nbrs = table[_PARTITIONS[_index(lam)]] = tuple(image.items())
+            nbrs = table[_PARTITIONS[_index(lam)]] = _walk(lam, part)
         if bounded and len(lam) >= row_bound:
             if len(lam) > row_bound:
                 raise ValueError(f"{lam!r} already has more than {row_bound} rows")

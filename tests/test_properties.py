@@ -7,9 +7,9 @@ against products by c*s_() (values, types and term order), the integer
 box operator against its Fraction-by-Fraction sum over the one-partition
 spec `box_image` of `test_vector` (values, types, term order and errors,
 also after unrelated calls or other threads have filled the partition
-index), the rho2 kernel images against that spec, the canonical
-coefficients (int when integral, Fractions in lowest terms) of every
-closed operation, scalar products against plain Fraction arithmetic
+index), the rho2 kernel levels and their images against that spec, the
+canonical coefficients (int when integral, Fractions in lowest terms) of
+every closed operation, scalar products against plain Fraction arithmetic
 (the monomial oracle's without the engine's box operator), and the
 engine's canonicalizer `_divided`, which fills the two slots of Fraction,
 against the public constructor.  Also the
@@ -32,6 +32,7 @@ from hypothesis import example, given, settings
 from sl2sym.combinatorics import partitions
 from sl2sym.polyring import Poly, poly_to_schur, power_sum_poly, schur_to_poly, sigma_slice
 from sl2sym.sl2_actions import (
+    _rho2_levels,
     act_rho1,
     act_rho2,
     character_finite,
@@ -45,7 +46,7 @@ from sl2sym.exprlang import evaluate
 from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import content_product, standard_tableaux
 from sl2sym import vector
-from sl2sym.vector import _divided, _walk, box_operator, canonical_coefficient
+from sl2sym.vector import _divided, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -284,20 +285,22 @@ def test_box_operator_equals_fraction_reference(data, bound, part, a, b, coeffs)
 
 
 def test_kernel_images_equal_box_image():
-    # the rho2 kernel images are the walk of each partition keyed by the
-    # rank of its target among the partitions one cell smaller, in
-    # lexicographically increasing order: mapped back to partitions, the
-    # one-partition spec, in its order, with no zero weight in the box
-    n, d = 4, 3
-    lower = rho2_constants(n, d)["lower"]
-    for m in range(n * d + 1):
-        below = sorted(partitions(m - 1, n, d))
-        assert below == list(partitions(m - 1, n, d))[::-1]
-        rank = {mu: i for i, mu in enumerate(below)}
-        domain = list(partitions(m, n, d))
-        for lam, image in zip(domain, _walk(domain, lower[0], rank.__getitem__, *lower[1:]), strict=True):
-            assert [(below[i], w) for i, w in image.items()] == box_image(lam, lower, n)
-            assert all(type(w) is int and w > 0 for w in image.values())
+    # every level of the rho2 kernel pass: the partitions of m in the box,
+    # lexicographically decreasing, each image keyed by the rank of its
+    # target among the partitions one cell smaller, lexicographically
+    # increasing; mapped back to partitions, the one-partition spec in its
+    # order, with positive int weights
+    for n in range(6):
+        for d in range(6):
+            lower = rho2_constants(n, d)["lower"]
+            levels = list(_rho2_levels(n, d))
+            assert [m for m, _, _ in levels] == list(range(n * d // 2 + 1))
+            for m, domain, images in levels:
+                assert domain == list(partitions(m, n, d))
+                below = sorted(partitions(m - 1, n, d))
+                for lam, image in zip(domain, images, strict=True):
+                    assert [(below[i], w) for i, w in image.items()] == box_image(lam, lower, n)
+                    assert all(type(w) is int and w > 0 for w in image.values())
 
 
 @given(data=sparse_terms(), z=rationals, zprime=rationals)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -102,6 +102,32 @@ def test_multiply_equals_monomial_oracle_at_six_rows():
     square = SchurVector.basis(6, (3, 2, 1)) ** 2
     assert square == poly_to_schur(f * f)
     assert len(square.terms) == 34 and square.terms[(4, 3, 2, 2, 1)] == 4
+
+
+def hook_length_count(lam) -> int:
+    """f^lam, the number of standard Young tableaux of shape lam: |lam|!
+    over the product of its hook lengths."""
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+    hooks = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            hooks *= (p - j - 1) + (conj[j] - i - 1) + 1
+    return factorial(sum(lam)) // hooks
+
+
+def test_multiply_counts_standard_tableaux():
+    # sum over nu of c^nu_(lam,mu) f^nu = C(|lam|+|mu|, |lam|) f^lam f^mu: both
+    # count the standard tableaux of |lam|+|mu| cells whose smallest |lam|
+    # entries form a tableau of shape lam; with n = |lam|+|mu| rows nothing
+    # is truncated.  Checked for every pair with 1 <= |lam|, |mu| <= 6.
+    shapes = [lam for size in range(1, 7) for lam in partitions(size)]
+    assert [hook_length_count(lam) for lam in partitions(4)] == [1, 3, 2, 3, 1]
+    for lam in shapes:
+        for mu in shapes:
+            n = sum(lam) + sum(mu)
+            prod = multiply(SchurVector.basis(n, lam), SchurVector.basis(n, mu))
+            assert sum(c * hook_length_count(nu) for nu, c in prod.terms.items()) == (
+                comb(n, sum(lam)) * hook_length_count(lam) * hook_length_count(mu))
 
 
 def test_multiply_structure_constants():

@@ -36,10 +36,18 @@ MUTANTS = [
     ("kerov-D-content", "sl2_actions.py", '"D": ("remove", zprime, 1)', '"D": ("remove", zprime, 2)', "killed"),
     ("kerov-D-constant", "sl2_actions.py", '"D": ("remove", zprime, 1)', '"D": ("remove", -zprime, 1)', "killed"),
     ("rho1-lowering-sign", "sl2_actions.py", '{"lower": (part, -a, -b)', '{"lower": (part, a, b)', "killed"),
-    ("walk-new-row-content", "vector.py", "image[key(lam + (1,))] = a - b * rows",
-     "image[key(lam + (1,))] = a - b * (rows - 1)", "killed"),
-    ("lr-lattice-bound", "symfunc.py", "if k and budget < cap:\n            cap = budget\n",
-     "if k and budget + 1 < cap:\n            cap = budget + 1\n", "killed"),
+    ("walk-new-row-content", "vector.py", "out.append((_index(lam + (1,)), -rows))",
+     "out.append((_index(lam + (1,)), -(rows - 1)))", "killed"),
+    # the rho2 kernel levels: the first row may not pass column d, and the
+    # weight is n + content of the added cell
+    ("level-column-bound", "sl2_actions.py", "cells, above = list(lam), d", "cells, above = list(lam), d + 1",
+     "killed"),
+    ("level-weight", "sl2_actions.py", "by_mu[tuple(cells)][i] = a + b * (p - r)",
+     "by_mu[tuple(cells)][i] = a + b * (p - r + 1)", "killed"),
+    ("lr-lattice-bound", "symfunc.py", "if k and budget < cap:\n                cap = budget\n",
+     "if k and budget + 1 < cap:\n                cap = budget + 1\n", "killed"),
+    # a row the letter passes over still adds its k-1's to the lattice bound
+    ("fill-pass-budget", "symfunc.py", "            budget += prev[r]\n", "", "killed"),
     ("lr-lower-bound", "symfunc.py", "low = left - (base[r] - base[-1])",
      "low = left - (base[r] - base[-1] - 1)", "killed"),
     # the lower bound also keeps the walk inside n rows: without it, IndexError
