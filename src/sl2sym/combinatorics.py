@@ -3,10 +3,10 @@ Gaussian binomial coefficients, which count the partitions in a
 rectangle, and the Cayley-Sylvester multiplicity formula."""
 
 import sys
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import index, sub
-from threading import Lock
 
 Partition = tuple[int, ...]
 
@@ -62,46 +62,29 @@ def _divide_by_one_minus(coeffs: list[int], step: int) -> None:
         coeffs[r::step] = accumulate(coeffs[r::step])
 
 
-# The cached tables of the process, each cleared once it holds _CACHE_SIZE
-# entries.  Keys are pairs of ints, and a lookup is made only after
-# `type(x) is int` on both, because 4.0 and Fraction(4) hash and compare
-# equal to 4: any other input takes the `operator.index` path, which
-# raises TypeError for a non-integer.
-_CACHE_SIZE = 1024
-_BINOMIALS = {}  # (a, k) -> coefficients of [a choose k]
-_MULTIPLICITIES = {}  # (n, d) -> irreducible multiplicities of the n x d box
-_CACHE_LOCK = Lock()  # so that threads adding entries never pass _CACHE_SIZE
-
-
-def _remember(cache: dict, key: tuple, value: tuple) -> tuple:
-    with _CACHE_LOCK:
-        if len(cache) >= _CACHE_SIZE:
-            cache.clear()
-        cache[key] = value
-    return value
-
-
 def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
     """Coefficients, ascending in T, of the Gaussian binomial [a choose k]
     = prod_{j=1..k} (1 - T^(a-k+j)) / (1 - T^j), a polynomial of degree
-    k*(a-k), for ints a and k; a cached (4, 2) never answers (4.0, 2).
-    Built for the smaller of k and a-k (the two give the same polynomial).
-    The coefficients are nonnegative and sum to C(a, k), so while
-    C(a, k) < 2**32 each fits a 32-bit word: both products, signs flipped,
-    are evaluated at T = 2**32 as ints, divided once, and the quotient is
-    read one word per coefficient.  Larger binomials keep prefix sums,
-    since CPython's long division is quadratic (with 64-bit words it
-    already loses at [40 choose 20], about 660 against 400 us): one factor
-    at a time, after step j the list holds [a-k+j choose j].  Each
-    division is exact or raises ArithmeticError."""
-    if type(a) is int and type(k) is int:
-        coeffs = _BINOMIALS.get((a, k))
-        if coeffs is not None:
-            return coeffs
-    a, k = index(a), index(k)
+    k*(a-k).  a and k pass through `operator.index` before the cache is
+    read, so a non-integer raises TypeError and a cached (4, 2) never
+    answers (4.0, 2), which hashes and compares equal to it."""
+    return _binomial(index(a), index(k))
+
+
+@lru_cache(maxsize=1024)
+def _binomial(a: int, k: int) -> tuple[int, ...]:
+    """[a choose k] for ints a and k, built for the smaller of k and a-k
+    (the two give the same polynomial).  The coefficients are nonnegative
+    and sum to C(a, k), so while C(a, k) < 2**32 each fits a 32-bit word:
+    both products, signs flipped, are evaluated at T = 2**32 as ints,
+    divided once, and the quotient is read one word per coefficient.
+    Larger binomials keep prefix sums, since CPython's long division is
+    quadratic (with 64-bit words it already loses at [40 choose 20], about
+    660 against 400 us): one factor at a time, after step j the list holds
+    [a-k+j choose j].  Each division is exact or raises ArithmeticError."""
     if k < 0 or a < k:
         raise ValueError(f"need 0 <= k <= a, got a={a}, k={k}")
-    key, k = (a, k), min(k, a - k)
+    k = min(k, a - k)
     if not comb(a, k) >> 32:
         num = den = 1
         for j in range(1, k + 1):
@@ -111,7 +94,7 @@ def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
             raise ArithmeticError("polynomial division left a remainder")
         # to_bytes writes the words in the machine's byte order, which cast("I") reads
         words = memoryview(q.to_bytes(4 * (k * (a - k) + 1), sys.byteorder)).cast("I")
-        return _remember(_BINOMIALS, key, tuple(words))
+        return tuple(words)
     coeffs = [1]
     for j in range(1, k + 1):
         m = a - k + j
@@ -121,18 +104,16 @@ def gaussian_binomial(a: int, k: int) -> tuple[int, ...]:
         if any(coeffs[-j:]):
             raise ArithmeticError("polynomial division left a remainder")
         del coeffs[-j:]
-    return _remember(_BINOMIALS, key, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def gamma(a: int, n: int, i: int) -> int:
     """Coefficient of T^i in prod_{j=1..n} (1 - T^(a-n+j)) / (1 - T^j),
     i.e. the Gaussian binomial coefficient [a choose n] at T^i."""
-    # n > 0 on a hit too: _box_binomial(0, d) caches (d, 0)
-    coeffs = _BINOMIALS.get((a, n)) if type(a) is int and type(n) is int and n > 0 else None
-    if coeffs is None:
-        if index(n) < 1:
-            raise ValueError("need n >= 1")
-        coeffs = gaussian_binomial(a, n)  # raises unless a >= n
+    n = index(n)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    coeffs = _binomial(index(a), n)  # raises unless a >= n
     return coeffs[i] if 0 <= index(i) < len(coeffs) else 0
 
 
@@ -144,22 +125,19 @@ def _box_binomial(n: int, d: int) -> tuple[int, ...]:
     return gaussian_binomial(n + d, n)
 
 
+@lru_cache(maxsize=1024)
 def _box_multiplicities(n: int, d: int) -> tuple[int, ...]:
-    """Multiplicities of the irreducibles in the n x d box span, indexed by
+    """Multiplicities of the irreducibles in the n x d box span, for ints
+    n and d (callers pass them through `operator.index`), indexed by
     highest weight i = 0..nd, by the Cayley-Sylvester formula: at
     i = nd - 2m, the T^m coefficient of the box binomial minus its
     T^(m-1) one, which is also the number of lowest-weight vectors of
     weight 2m - nd; 0 where nd - i is odd."""
-    if type(n) is int and type(d) is int:
-        mults = _MULTIPLICITIES.get((n, d))
-        if mults is not None:
-            return mults
     coeffs = _box_binomial(n, d)
-    n, d = index(n), index(d)
     half = coeffs[:n * d // 2 + 1]  # T^m for m = 0..nd/2, so i = nd - 2m >= 0
     mults = [0] * (n * d + 1)
     mults[n * d::-2] = map(sub, half, (0,) + half)
-    return _remember(_MULTIPLICITIES, (n, d), tuple(mults))
+    return tuple(mults)
 
 
 def sylvester_cayley(n: int, d: int, i: int) -> int:
@@ -167,9 +145,7 @@ def sylvester_cayley(n: int, d: int, i: int) -> int:
     the standard (d+1)-dimensional module, by the Cayley-Sylvester formula.
     Zero when i is negative (no highest weight is) or when d*n - i is odd
     or negative."""
-    mults = _MULTIPLICITIES.get((n, d)) if type(n) is int and type(d) is int else None
-    if mults is None:
-        mults = _box_multiplicities(n, d)
+    mults = _box_multiplicities(index(n), index(d))
     return mults[i] if 0 <= index(i) < len(mults) else 0
 
 
@@ -195,18 +171,12 @@ def alpha_degree(alpha) -> int:
 
 def alpha_tuples(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of length n-1 with degree at most `max_degree`,
-    sorted by (degree, tuple)."""
+    sorted by (degree, tuple).  Built from the last exponent down, each
+    suffix with its degree, so no call nests per variable."""
     if index(n) < 2:
         raise ValueError("need n >= 2")
-    length = n - 1
-
-    def rec(idx, budget):
-        if idx == length:
-            yield ()
-            return
-        w = idx + 2
-        for a in range(budget // w + 1):
-            for rest in rec(idx + 1, budget - w * a):
-                yield (a,) + rest
-
-    return sorted(rec(0, max_degree), key=lambda t: (alpha_degree(t), t))
+    found = [(0, ())]
+    for w in range(n, 1, -1):  # the exponent of z_w has weight w
+        found = [(deg + w * a, (a,) + rest) for deg, rest in found
+                 for a in range((max_degree - deg) // w + 1)]
+    return [alpha for _, alpha in sorted(found)]

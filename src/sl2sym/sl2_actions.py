@@ -87,7 +87,7 @@ def character_finite(n: int, d: int) -> dict[int, int]:
 def decompose_finite(n: int, d: int) -> dict[int, int]:
     """Irreducible multiplicities i -> c_i of the n x d box span, highest
     weight first, by the Cayley-Sylvester formula (zero ones omitted)."""
-    mults = _box_multiplicities(n, d)
+    mults = _box_multiplicities(index(n), index(d))
     return {i: mults[i] for i in range(len(mults) - 1, -1, -2) if mults[i]}
 
 
@@ -201,7 +201,7 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
     are in canonical order as built (`sorted_terms` gives the same list):
     its keys all have one size and come in the domain's lexicographically
     decreasing order."""
-    mults = _box_multiplicities(n, d)
+    mults = _box_multiplicities(index(n), index(d))
     out = []
     for m, domain, images in _rho2_levels(n, d):
         expected = mults[n * d - 2 * m]

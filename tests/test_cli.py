@@ -251,6 +251,13 @@ def test_kernel_rho2_odd_box(capsys):
     )
 
 
+def test_kernel_rho1_with_more_variables_than_the_recursion_limit(capsys):
+    # the exponent tuples have 1,199 entries: none may cost a nested call
+    code, out, err = run_cli(capsys, "kernel", "--rep", "rho1", "--n", "1200", "--max-degree", "2")
+    assert code == 0 and not err
+    assert out == "weight 0: s[]\nweight 4: 1199*s[2] - 1201*s[1,1]\n"
+
+
 def test_verify_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
     assert code == 0

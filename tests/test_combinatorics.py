@@ -14,7 +14,7 @@ from sl2sym.combinatorics import (
     partitions,
     sylvester_cayley,
 )
-from sl2sym.sl2_actions import character_finite, decompose_finite
+from sl2sym.sl2_actions import character_finite, decompose_finite, lowest_weight_space_rho2
 from sl2sym.vector import box_operator
 from sl2sym.verify import count_partitions_in_rectangle
 from sl2sym.young import DiagramVector
@@ -264,31 +264,40 @@ def test_non_int_sizes_raise():
 
 
 def clear_table_caches():
-    combinatorics._BINOMIALS.clear()
-    combinatorics._MULTIPLICITIES.clear()
+    combinatorics._binomial.cache_clear()
+    combinatorics._box_multiplicities.cache_clear()
 
 
 def test_small_tables_refuse_non_ints_whatever_ran_before():
-    # an untyped Gaussian binomial cache would answer (4.0, 2) from a cached
-    # (4, 2), so every table is tried with non-ints before and after ints
+    # 2.0 and Fraction(2) hash and compare equal to 2, so a cache read before
+    # the arguments are checked would answer them from a cached int call:
+    # each entry point refuses them with the caches cold and after that call
+    binomials, boxes = combinatorics._binomial, combinatorics._box_multiplicities
     tables = {
-        "character_finite": lambda x: character_finite(2, x),
-        "decompose_finite": lambda x: decompose_finite(x, 2),
-        "sylvester_cayley": lambda x: sylvester_cayley(2, x, 2),
-        "gamma a": lambda x: gamma(2 * x, 2, 1),
-        "gamma n": lambda x: gamma(4, x, 1),
+        "gaussian_binomial a": (lambda x: gaussian_binomial(2 * x, 2), binomials),
+        "gaussian_binomial k": (lambda x: gaussian_binomial(4, x), binomials),
+        "gamma a": (lambda x: gamma(2 * x, 2, 1), binomials),
+        "gamma n": (lambda x: gamma(4, x, 1), binomials),
+        "character_finite n": (lambda x: character_finite(x, 2), binomials),
+        "character_finite d": (lambda x: character_finite(2, x), binomials),
+        "sylvester_cayley n": (lambda x: sylvester_cayley(x, 2, 2), boxes),
+        "sylvester_cayley d": (lambda x: sylvester_cayley(2, x, 2), boxes),
+        "decompose_finite n": (lambda x: decompose_finite(x, 2), boxes),
+        "decompose_finite d": (lambda x: decompose_finite(2, x), boxes),
+        "lowest_weight_space_rho2 n": (lambda x: lowest_weight_space_rho2(x, 2), boxes),
+        "lowest_weight_space_rho2 d": (lambda x: lowest_weight_space_rho2(2, x), boxes),
     }
-    clear_table_caches()
-    expected = {name: table(2) for name, table in tables.items()}
-    for ints_first in (True, False):
-        clear_table_caches()
-        for name, table in tables.items():
-            if ints_first:
-                assert table(2) == expected[name]
-            for bad in (2.0, Fraction(2)):
-                with pytest.raises(TypeError, match="integer"):
-                    table(bad)
-            assert table(2) == expected[name]
+    for name, (table, cache) in tables.items():
+        for bad in (2.0, Fraction(2)):
+            clear_table_caches()
+            with pytest.raises(TypeError, match="integer"):
+                table(bad)
+            expected = table(2)
+            assert cache.cache_info().currsize, name
+            with pytest.raises(TypeError, match="integer"):
+                table(bad)
+            assert table(2) == expected
+    assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1) and sylvester_cayley(2, 2, 4) == 1
 
 
 def test_weight_index_must_be_an_int():
@@ -305,41 +314,15 @@ def test_weight_index_must_be_an_int():
     assert sylvester_cayley(2, 2, 2) == sylvester_cayley(2, 2, 1) == sylvester_cayley(2, 2, -2) == 0
 
 
-def test_gaussian_binomial_refuses_non_ints_whatever_ran_before():
-    # the cache is read only for ints, so a cached (4, 2) does not answer
-    # (4.0, 2), which hashes and compares equal to it
-    for ints_first in (True, False):
-        clear_table_caches()
-        if ints_first:
-            assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
-        for a, k in ((4.0, 2), (Fraction(4), 2), (4, 2.0), (4, Fraction(2))):
-            with pytest.raises(TypeError, match="integer"):
-                gaussian_binomial(a, k)
-        assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
-
-
 def test_gamma_refuses_n_zero_from_a_cached_binomial():
     # [a choose 0] is cached by gaussian_binomial itself and by the 0 x d
     # box, and gamma still needs n >= 1
     for cache in (lambda: gaussian_binomial(5, 0), lambda: decompose_finite(0, 5)):
         clear_table_caches()
         assert cache() in ((1,), {0: 1})
-        assert (5, 0) in combinatorics._BINOMIALS
+        assert combinatorics._binomial.cache_info().currsize == 1  # [5 choose 0]
         with pytest.raises(ValueError, match="need n >= 1"):
             gamma(5, 0, 0)
-
-
-def test_sylvester_cayley_refuses_non_int_boxes_from_a_cached_table():
-    # (2.0, 2) and (2, Fraction(2)) hash and compare equal to the cached (2, 2)
-    clear_table_caches()
-    assert sylvester_cayley(2, 2, 2) == 0 and sylvester_cayley(2, 2, 4) == 1
-    assert (2, 2) in combinatorics._MULTIPLICITIES
-    for n, d in ((2.0, 2), (2, Fraction(2))):
-        with pytest.raises(TypeError, match="integer"):
-            sylvester_cayley(n, d, 2)
-        with pytest.raises(TypeError, match="integer"):
-            decompose_finite(n, d)
-    assert sylvester_cayley(2, 2, 4) == 1
 
 
 def test_table_caches_stay_bounded_and_answer_correctly():
@@ -347,20 +330,21 @@ def test_table_caches_stay_bounded_and_answer_correctly():
 
     clear_table_caches()
     pairs = [(a, k) for a in range(46) for k in range(a + 1)]
-    assert len(pairs) > combinatorics._CACHE_SIZE == 1024
+    binomial_info, box_info = combinatorics._binomial.cache_info, combinatorics._box_multiplicities.cache_info
+    assert len(pairs) > binomial_info().maxsize == box_info().maxsize == 1024
     first = {}
     for a, k in pairs:
         first[a, k] = gaussian_binomial(a, k)
-        assert len(combinatorics._BINOMIALS) <= 1024
+        assert binomial_info().currsize <= 1024
     for a, k in pairs:
         assert gaussian_binomial(a, k) == first[a, k] and sum(first[a, k]) == comb(a, k)
         assert k == 0 or tuple(gamma(a, k, i) for i in range(len(first[a, k]))) == first[a, k]
-    assert len(combinatorics._BINOMIALS) <= 1024
+    assert binomial_info().currsize <= 1024
     boxes = [(n, d) for n in (1, 2) for d in range(520)]
     assert len(boxes) > 1024
     for n, d in boxes:
         assert sum((i + 1) * sylvester_cayley(n, d, i) for i in range(n * d + 1)) == comb(n + d, n)
-        assert len(combinatorics._MULTIPLICITIES) <= 1024
+        assert box_info().currsize <= 1024
     assert [sylvester_cayley(4, 2, i) for i in range(9)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 

@@ -21,7 +21,8 @@ ORACLES = {"sl2sym.polyring", "sl2sym.verify"}
 ORACLE_ONLY = ("act_rho1_named", "count_partitions_in_rectangle", "elementary_schur", "vd_realization")
 DELETED = ("decompose_lambda_n", "xi_minus", "nabla", "pieri_e1", "pi_k", "zeta",
            "weight_of_alpha", "print_expr", "canonical_order", "_box_sums", "_neighbours",
-           "_gaussian_binomial", "_cayley_sylvester")
+           "_gaussian_binomial", "_cayley_sylvester", "_BINOMIALS", "_MULTIPLICITIES", "_remember",
+           "_CACHE_LOCK", "_CACHE_SIZE")
 
 
 def import_time_imports(source: str) -> set:

@@ -54,26 +54,18 @@ MUTANTS = [
     ("lr-no-lower-bound", "symfunc.py", "low = left - (base[r] - base[-1])", "low = 0", "killed"),
     ("cayley-sylvester-m1", "combinatorics.py", "map(sub, half, (0,) + half)",
      "map(sub, half, (0, 0) + half[1:])", "killed"),
-    # each cache lookup of a table is made only for ints, since 4.0 == 4
-    ("binomial-hit-type", "combinatorics.py", "if type(a) is int and type(k) is int:\n        coeffs",
-     "if True:\n        coeffs", "killed"),
-    ("gamma-hit-type", "combinatorics.py", "if type(a) is int and type(n) is int and n > 0",
-     "if n > 0", "killed"),
-    ("gamma-n-positive", "combinatorics.py", "type(n) is int and n > 0 else None",
-     "type(n) is int else None", "killed"),
-    ("box-hit-type", "combinatorics.py", "if type(n) is int and type(d) is int:\n        mults",
-     "if True:\n        mults", "killed"),
-    ("cayley-hit-type", "combinatorics.py",
-     "_MULTIPLICITIES.get((n, d)) if type(n) is int and type(d) is int else None",
-     "_MULTIPLICITIES.get((n, d))", "killed"),
+    # a table's cache is read only after its arguments pass `operator.index`,
+    # since 2.0 == 2: a warm (2, 2) would answer (2.0, 2)
+    ("table-key-index", "combinatorics.py", "_box_multiplicities(index(n), index(d))",
+     "_box_multiplicities(n, d)", "killed"),
+    ("table-cache-unbounded", "combinatorics.py", "@lru_cache(maxsize=1024)\ndef _binomial",
+     "@lru_cache(maxsize=None)\ndef _binomial", "killed"),
     # a binomial is read from 32-bit words only while C(a, k) < 2**32 bounds its
     # coefficients: from [42 choose 21] on, one needs more than 32 bits
     ("binomial-word-bound", "combinatorics.py", "if not comb(a, k) >> 32:", "if not comb(a, k) >> 64:",
      "killed"),
     ("binomial-word-factor", "combinatorics.py", "(num << 32 * (a - k + j)) - num",
      "(num << 32 * (a - k + j + 1)) - num", "killed"),
-    ("cache-unbounded", "combinatorics.py", "if len(cache) >= _CACHE_SIZE:\n            cache.clear()\n",
-     "", "killed"),
     ("rho2-kernel-count", "sl2_actions.py", "if len(kernel) != expected:", "if False:", "killed"),
     ("poly-scalar-engine", "polyring.py",
      "return self._closed(self.n, {e: c * other for e, c in self.terms.items()})",
