@@ -268,25 +268,10 @@ def clear_table_caches():
     combinatorics._box_multiplicities.cache_clear()
 
 
-def test_small_tables_refuse_non_ints_whatever_ran_before():
+def assert_refuses_non_ints_whatever_ran_before(tables):
     # 2.0 and Fraction(2) hash and compare equal to 2, so a cache read before
     # the arguments are checked would answer them from a cached int call:
     # each entry point refuses them with the caches cold and after that call
-    binomials, boxes = combinatorics._binomial, combinatorics._box_multiplicities
-    tables = {
-        "gaussian_binomial a": (lambda x: gaussian_binomial(2 * x, 2), binomials),
-        "gaussian_binomial k": (lambda x: gaussian_binomial(4, x), binomials),
-        "gamma a": (lambda x: gamma(2 * x, 2, 1), binomials),
-        "gamma n": (lambda x: gamma(4, x, 1), binomials),
-        "character_finite n": (lambda x: character_finite(x, 2), binomials),
-        "character_finite d": (lambda x: character_finite(2, x), binomials),
-        "sylvester_cayley n": (lambda x: sylvester_cayley(x, 2, 2), boxes),
-        "sylvester_cayley d": (lambda x: sylvester_cayley(2, x, 2), boxes),
-        "decompose_finite n": (lambda x: decompose_finite(x, 2), boxes),
-        "decompose_finite d": (lambda x: decompose_finite(2, x), boxes),
-        "lowest_weight_space_rho2 n": (lambda x: lowest_weight_space_rho2(x, 2), boxes),
-        "lowest_weight_space_rho2 d": (lambda x: lowest_weight_space_rho2(2, x), boxes),
-    }
     for name, (table, cache) in tables.items():
         for bad in (2.0, Fraction(2)):
             clear_table_caches()
@@ -297,7 +282,38 @@ def test_small_tables_refuse_non_ints_whatever_ran_before():
             with pytest.raises(TypeError, match="integer"):
                 table(bad)
             assert table(2) == expected
-    assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1) and sylvester_cayley(2, 2, 4) == 1
+
+
+def test_gaussian_binomial_refuses_non_ints_whatever_ran_before():
+    binomials = combinatorics._binomial
+    assert_refuses_non_ints_whatever_ran_before({
+        "gaussian_binomial a": (lambda x: gaussian_binomial(2 * x, 2), binomials),
+        "gaussian_binomial k": (lambda x: gaussian_binomial(4, x), binomials),
+    })
+    assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
+
+
+def test_sylvester_cayley_refuses_non_int_boxes_from_a_cached_table():
+    boxes = combinatorics._box_multiplicities
+    assert_refuses_non_ints_whatever_ran_before({
+        "sylvester_cayley n": (lambda x: sylvester_cayley(x, 2, 2), boxes),
+        "sylvester_cayley d": (lambda x: sylvester_cayley(2, x, 2), boxes),
+        "decompose_finite n": (lambda x: decompose_finite(x, 2), boxes),
+        "decompose_finite d": (lambda x: decompose_finite(2, x), boxes),
+    })
+    assert sylvester_cayley(2, 2, 4) == 1
+
+
+def test_small_tables_refuse_non_ints_whatever_ran_before():
+    binomials, boxes = combinatorics._binomial, combinatorics._box_multiplicities
+    assert_refuses_non_ints_whatever_ran_before({
+        "gamma a": (lambda x: gamma(2 * x, 2, 1), binomials),
+        "gamma n": (lambda x: gamma(4, x, 1), binomials),
+        "character_finite n": (lambda x: character_finite(x, 2), binomials),
+        "character_finite d": (lambda x: character_finite(2, x), binomials),
+        "lowest_weight_space_rho2 n": (lambda x: lowest_weight_space_rho2(x, 2), boxes),
+        "lowest_weight_space_rho2 d": (lambda x: lowest_weight_space_rho2(2, x), boxes),
+    })
 
 
 def test_weight_index_must_be_an_int():
