@@ -4,7 +4,6 @@ human-readable text by default; --json emits a machine-readable document
 with deterministic field and term order."""
 
 import argparse
-import functools
 import os
 import sys
 from fractions import Fraction
@@ -19,50 +18,8 @@ from .sl2_actions import (
     lowest_weight_space_rho2,
 )
 from .combinatorics import lw_counts
+from .vector import _digits_unlimited, format_terms
 from .young import KerovParams, hat_apply, kerov_apply, tilde_apply
-
-
-def _digits_unlimited(fn):
-    """`fn` run with CPython's limit on the digits of an int-to-str
-    conversion (3.10.7 and later) lifted, then restored: exact coefficients
-    print at any length, while integer literals in the input stay bounded."""
-    @functools.wraps(fn)
-    def wrapper(*args):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return fn(*args)
-        finally:
-            sys.set_int_max_str_digits(limit)
-    return wrapper if hasattr(sys, "set_int_max_str_digits") else fn
-
-
-@_digits_unlimited
-def format_terms(items, letter: str, names: dict) -> str:
-    """Render sorted (partition, coefficient) pairs like '-4*s[1,1] - 2*s[2]',
-    each coefficient from its integer numerator and denominator.  `names`
-    maps each partition to its printed name under this `letter` and is
-    filled as partitions come, so calls that share it print each one once."""
-    if not items:
-        return "0"
-    out = []
-    for lam, c in items:
-        num, den = c.numerator, c.denominator
-        if num < 0:
-            out.append(" - ")
-            num = -num
-        else:
-            out.append(" + ")
-        if den != 1:
-            out.append(f"{num}/{den}*")
-        elif num != 1:
-            out.append(f"{num}*")
-        name = names.get(lam)
-        if name is None:
-            name = names[lam] = f"{letter}[{','.join(map(str, lam))}]"
-        out.append(name)
-    out[0] = "-" if out[0] == " - " else ""
-    return "".join(out)
 
 
 def _dumps(doc) -> str:

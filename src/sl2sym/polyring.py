@@ -126,42 +126,37 @@ def rho2_apply(op: str, f: Poly, d: int) -> Poly:
     return _monomial_operator(op, f, constants)
 
 
+def _monomial_sum(n: int, supports) -> Poly:
+    """The sum of the monomials over `supports`, tuples of variable indices
+    from 0, in which a repeated index raises its exponent."""
+    terms = {}
+    for support in supports:
+        exps = [0] * n
+        for j in support:
+            exps[j] += 1
+        terms[tuple(exps)] = 1
+    return Poly(n, terms)
+
+
 def power_sum_poly(k: int, n: int) -> Poly:
     """p_k = x_1^k + ... + x_n^k."""
     if k < 1:
         raise ValueError("need k >= 1")
-    terms = {}
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = k
-        terms[tuple(exps)] = 1
-    return Poly(n, terms)
+    return _monomial_sum(n, ((i,) * k for i in range(n)))
 
 
 def elementary_poly(i: int, n: int) -> Poly:
     """e_i, the sum of all squarefree monomials of degree i."""
     if i < 0 or i > n:
         raise ValueError(f"e_{i} undefined in {n} variables")
-    terms = {}
-    for subset in combinations(range(n), i):
-        exps = [0] * n
-        for j in subset:
-            exps[j] = 1
-        terms[tuple(exps)] = 1
-    return Poly(n, terms)
+    return _monomial_sum(n, combinations(range(n), i))
 
 
 def homogeneous_poly(i: int, n: int) -> Poly:
     """h_i, the sum of all monomials of degree i."""
     if i < 0:
         raise ValueError("need i >= 0")
-    terms = {}
-    for multiset in combinations_with_replacement(range(n), i):
-        exps = [0] * n
-        for j in multiset:
-            exps[j] += 1
-        terms[tuple(exps)] = 1
-    return Poly(n, terms)
+    return _monomial_sum(n, combinations_with_replacement(range(n), i))
 
 
 def sigma_slice(f: Poly) -> Poly:

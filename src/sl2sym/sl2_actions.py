@@ -46,11 +46,13 @@ def rho2_constants(n: int, d: int) -> dict:
 
 def act_rho1(op: str, v: SchurVector) -> SchurVector:
     """First action on Schur vectors (see rho1_constants)."""
+    SchurVector._require(v)
     return box_operator(v, op_constants(rho1_constants(v.n), op), v.n)
 
 
 def act_rho2(op: str, v: SchurVector, d: int) -> SchurVector:
     """Second action on Schur vectors in the n x d box (see rho2_constants)."""
+    SchurVector._require(v)
     constants = op_constants(rho2_constants(v.n, d), op)
     for lam in v.terms:
         if lam and lam[0] > d:

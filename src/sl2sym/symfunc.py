@@ -7,7 +7,7 @@ from functools import lru_cache
 from math import comb
 from operator import index
 
-from .combinatorics import Partition, check_partition
+from .combinatorics import Partition
 from .vector import SparseVector, _divided, _integers
 
 
@@ -23,12 +23,6 @@ class SchurVector(SparseVector):
     def _check_ambient(self, n):
         if index(n) < 0:
             raise ValueError(f"need n >= 0 variables, got {n}")
-
-    def _check_key(self, lam):
-        lam = check_partition(lam)
-        if len(lam) > self.n:
-            raise ValueError(f"partition {lam!r} has more than {self.n} rows")
-        return lam
 
     @classmethod
     def basis(cls, n: int, lam) -> "SchurVector":
@@ -102,6 +96,7 @@ def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
     """Product in the Schur basis by the Littlewood-Richardson rule (see
     `_basis_product`), truncated to the n rows of the operands.  Sums run
     over integers, each operand scaled by the lcm of its denominators."""
+    SchurVector._require(u)
     u._same_ambient(v)
     n = u.n
     du, u_terms = _integers(u.terms)

@@ -3,10 +3,57 @@ content-weighted box operator on partition-keyed vectors: both sl2-actions,
 their transports, the Kerov operators, Pieri's rule and the rational
 multiples c*v (its diagonal) are that operator with different constants."""
 
+import functools
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, index, sub
 from threading import Lock
+
+from .combinatorics import check_partition
+
+
+def _digits_unlimited(fn):
+    """`fn` run with CPython's limit on the digits of an int-to-str
+    conversion (3.10.7 and later) lifted, then restored: exact coefficients
+    print at any length, while integer literals in the input stay bounded."""
+    @functools.wraps(fn)
+    def wrapper(*args):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return wrapper if hasattr(sys, "set_int_max_str_digits") else fn
+
+
+@_digits_unlimited
+def format_terms(items, letter: str, names: dict) -> str:
+    """Render sorted (partition, coefficient) pairs like '-4*s[1,1] - 2*s[2]',
+    each coefficient from its integer numerator and denominator.  `names`
+    maps each partition to its printed name under this `letter` and is
+    filled as partitions come, so calls that share it print each one once."""
+    if not items:
+        return "0"
+    out = []
+    for lam, c in items:
+        num, den = c.numerator, c.denominator
+        if num < 0:
+            out.append(" - ")
+            num = -num
+        else:
+            out.append(" + ")
+        if den != 1:
+            out.append(f"{num}/{den}*")
+        elif num != 1:
+            out.append(f"{num}*")
+        name = names.get(lam)
+        if name is None:
+            name = names[lam] = f"{letter}[{','.join(map(str, lam))}]"
+        out.append(name)
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def canonical_coefficient(c):
@@ -61,8 +108,9 @@ def _divided(items, den: int) -> dict:
 class SparseVector:
     """Finite rational linear combination of basis keys in a fixed ambient
     (a variable count or a row bound).  Subclasses define `_check_ambient`
-    and `_check_key` (which returns the key as stored), and name the basis
-    in `repr` by `LETTER`.
+    and name the basis in `repr` by `LETTER`.  A key is a partition of at
+    most `ambient` rows (None: any), a `NOUN` in errors, unless a subclass
+    overrides `_check_key`, which returns the key as stored.
 
     Every stored coefficient is canonical: a nonzero int if it is
     integral, otherwise a reduced Fraction.  A vector is immutable: no code
@@ -71,6 +119,7 @@ class SparseVector:
 
     __slots__ = ("ambient", "terms")
     LETTER = "?"
+    NOUN = "partition"
 
     def __init__(self, ambient, terms=None):
         self._check_ambient(ambient)
@@ -85,6 +134,12 @@ class SparseVector:
                 if c:
                     clean[self._check_key(key)] = c
         self.terms = clean
+
+    def _check_key(self, lam):
+        lam, rows = check_partition(lam), self.ambient
+        if rows is not None and len(lam) > rows:
+            raise ValueError(f"{self.NOUN} {lam!r} has more than {rows} rows")
+        return lam
 
     @classmethod
     def _wrap(cls, ambient, terms: dict):
@@ -105,6 +160,12 @@ class SparseVector:
             key: c if type(c) is int or c._denominator != 1 else c._numerator
             for key, c in terms.items() if c
         })
+
+    @classmethod
+    def _require(cls, v):
+        """Refuse `v` unless it is a `cls` itself, not another basis."""
+        if type(v) is not cls:
+            raise TypeError(f"need a {cls.__name__}, got {type(v).__name__}")
 
     @classmethod
     def zero(cls, ambient=None):
@@ -179,10 +240,7 @@ class SparseVector:
         return items
 
     def __repr__(self):
-        body = " + ".join(
-            f"{c}*{self.LETTER}{list(key)}" for key, c in self.sorted_terms()
-        ).replace("+ -", "- ")
-        return f"{type(self).__name__}({self.ambient}, {body or 0})"
+        return f"{type(self).__name__}({self.ambient}, {format_terms(self.sorted_terms(), self.LETTER, {})})"
 
 
 def op_constants(table: dict, op: str) -> tuple:

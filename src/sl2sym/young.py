@@ -6,7 +6,6 @@ from fractions import Fraction
 from operator import index
 from typing import NamedTuple
 
-from .combinatorics import check_partition
 from .sl2_actions import act_rho1, act_rho2, kerov_constants
 from .symfunc import SchurVector
 from .vector import SparseVector, box_operator, canonical_coefficient, op_constants
@@ -24,17 +23,12 @@ class DiagramVector(SparseVector):
 
     __slots__ = ()
     LETTER = "y"
+    NOUN = "diagram"
     row_bound = property(lambda self: self.ambient)
 
     def _check_ambient(self, row_bound):
         if row_bound is not None and index(row_bound) < 0:
             raise ValueError(f"row bound must be >= 0 or None, got {row_bound}")
-
-    def _check_key(self, lam):
-        lam = check_partition(lam)
-        if self.row_bound is not None and len(lam) > self.row_bound:
-            raise ValueError(f"diagram {lam!r} has more than {self.row_bound} rows")
-        return lam
 
     @classmethod
     def basis(cls, lam, row_bound=None) -> "DiagramVector":
@@ -45,8 +39,7 @@ def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
     """The diagrams of `v`, whose keys are already checked partitions, as
     a Schur vector in n variables sharing v's terms: only v's type, n and
     the row counts are checked."""
-    if type(v) is not DiagramVector:
-        raise TypeError(f"need a DiagramVector, got {type(v).__name__}")
+    DiagramVector._require(v)
     if index(n) < 0:
         raise ValueError(f"need n >= 0 variables, got {n}")
     for lam in v.terms:
@@ -70,8 +63,7 @@ def tilde_apply(op: str, v: DiagramVector, n: int, d: int) -> DiagramVector:
 def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector:
     """Kerov operators U, L, D on unbounded diagrams (see kerov_constants).
     Application is exact for any finite vector; a float z or z' is refused."""
-    if type(v) is not DiagramVector:
-        raise TypeError(f"need a DiagramVector, got {type(v).__name__}")
+    DiagramVector._require(v)
     exact = []
     for name, c in zip(KerovParams._fields, params):
         try:

@@ -143,10 +143,19 @@ def test_criterion_11_discrepancy_reporting():
                "without failing the suites", ok)
 
 
-def test_wrong_raising_constant_fails_exactly_the_dependent_checks(monkeypatch):
-    """A wrong rho1 raising constant (content + 1 instead of content) is
-    counted case by case: exactly the checks that compare the first
-    action's raise against an independent oracle fail, with these counts."""
+# the checks that compare the first action's raise against an independent
+# oracle, and their counts when its raising constant is content + 1
+WRONG_RAISING_FAILURES = {
+    "schur-action/first action matches differential operators (|lam|<=6, n<=4)":
+        "219 comparisons, 73 failures",
+    "schur-action/closed-form family images match the Schur action":
+        "174 comparisons, 58 failures",
+    "kerov/transport intertwines the first action (|lam|<=6, n<=4)":
+        "219 comparisons, 73 failures",
+}
+
+
+def failures_with_wrong_raising_constant(monkeypatch) -> dict:
     from sl2sym import sl2_actions
 
     correct = sl2_actions.rho1_constants
@@ -156,15 +165,24 @@ def test_wrong_raising_constant_fails_exactly_the_dependent_checks(monkeypatch):
 
     monkeypatch.setattr(sl2_actions, "rho1_constants", broken)
     checks = verify_mod.suite_schur_action() + verify_mod.suite_kerov()
-    failed = {f"{c.suite}/{c.name}": c.detail for c in checks if not c.ok}
-    assert failed == {
-        "schur-action/first action matches differential operators (|lam|<=6, n<=4)":
-            "219 comparisons, 73 failures",
-        "schur-action/closed-form family images match the Schur action":
-            "174 comparisons, 58 failures",
-        "kerov/transport intertwines the first action (|lam|<=6, n<=4)":
-            "219 comparisons, 73 failures",
-    }
+    return {f"{c.suite}/{c.name}": c.detail for c in checks if not c.ok}
+
+
+def test_wrong_raising_constant_fails_exactly_the_dependent_checks(monkeypatch):
+    """A wrong rho1 raising constant (content + 1 instead of content) is
+    counted case by case: exactly the checks that compare the first
+    action's raise against an independent oracle fail, with these counts."""
+    assert failures_with_wrong_raising_constant(monkeypatch) == WRONG_RAISING_FAILURES
+
+
+def test_wrong_raising_constant_fails_the_same_checks_under_a_blind_equality(monkeypatch):
+    """The same failures with `SparseVector.__eq__` calling any two vectors
+    of one class equal: verify compares vectors as plain data, so no check
+    rests on the equality it would check."""
+    from sl2sym.vector import SparseVector
+
+    monkeypatch.setattr(SparseVector, "__eq__", lambda self, other: type(other) is type(self))
+    assert failures_with_wrong_raising_constant(monkeypatch) == WRONG_RAISING_FAILURES
 
 
 @pytest.mark.parametrize("op, index", [(op, i) for op in "ULD" for i in (1, 2)],

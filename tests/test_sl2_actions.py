@@ -5,7 +5,7 @@ import pytest
 
 from sl2sym import sl2_actions, vector
 from sl2sym.combinatorics import alpha_degree, alpha_tuples, gaussian_binomial, lw_counts, partitions
-from sl2sym.polyring import poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
+from sl2sym.polyring import Poly, poly_to_schur, rho1_apply, rho2_apply, schur_to_poly
 from sl2sym.sl2_actions import (
     act_rho1,
     act_rho2,
@@ -24,6 +24,7 @@ from sl2sym.symfunc import (
 )
 from sl2sym.vector import box_operator
 from sl2sym.verify import act_rho1_named, elementary_schur, peel_character, vd_realization
+from sl2sym.young import DiagramVector
 
 
 def basis(n, lam):
@@ -55,6 +56,14 @@ def test_act_rho2_examples():
     assert act_rho2("raise", SchurVector.unit(2), 2) == 2 * basis(2, (1,))
     with pytest.raises(ValueError):
         act_rho2("lower", basis(2, (3,)), 2)
+
+
+def test_schur_actions_refuse_other_vectors():
+    # an exponent vector is no partition key, and a diagram vector has no n
+    for v in (Poly.variable(2, 1), DiagramVector.basis((1,), 2), DiagramVector.basis((1,))):
+        for apply in (lambda: act_rho1("lower", v), lambda: act_rho2("lower", v, 2)):
+            with pytest.raises(TypeError, match=f"^need a SchurVector, got {type(v).__name__}$"):
+                apply()
 
 
 def test_act_rho2_matches_poly_route():

@@ -21,6 +21,7 @@ from sl2sym.symfunc import (
 )
 from sl2sym.vector import box_operator
 from sl2sym.verify import elementary_schur
+from sl2sym.young import DiagramVector
 
 
 def sv(n, terms):
@@ -85,6 +86,15 @@ def test_multiply_examples():
     assert multiply(w, SchurVector.unit(2)) == w
     with pytest.raises(ValueError):
         multiply(SchurVector.unit(2), SchurVector.unit(3))
+
+
+def test_multiply_refuses_other_vectors():
+    x, y = Poly.variable(2, 1), DiagramVector.basis((1,), 2)
+    for v in (x, y):
+        with pytest.raises(TypeError, match=f"^need a SchurVector, got {type(v).__name__}$"):
+            multiply(v, v)
+    with pytest.raises(TypeError, match="^cannot combine SchurVector with Poly$"):
+        multiply(SchurVector.basis(2, (1,)), x)
 
 
 def test_multiply_littlewood_richardson_examples():

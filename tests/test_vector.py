@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -18,6 +19,8 @@ def test_one_class_holds_the_algebra():
     for cls in (Poly, SchurVector, DiagramVector):
         assert issubclass(cls, SparseVector)
         assert not [name for name in ALGEBRA if name in vars(cls)]
+    # one partition-key check, for both partition bases
+    assert "_check_key" not in vars(SchurVector) and "_check_key" not in vars(DiagramVector)
 
 
 def test_base_constructors():
@@ -176,10 +179,32 @@ def test_mixing_vector_types_raises():
     assert SchurVector.unit(2) != DiagramVector.unit(2)
 
 
+def test_equality_reads_class_ambient_and_every_coefficient():
+    # verify compares its vectors as plain data, so equality is pinned here
+    v = SchurVector(2, {(2,): 3, (1, 1): Fraction(-1, 2)})
+    assert v == SchurVector(2, {(1, 1): Fraction(-1, 2), (2,): 3}) and not v != SchurVector(2, v.terms)
+    for other in (SchurVector(2, {(2,): 3, (1, 1): Fraction(1, 2)}), SchurVector(2, {(2,): 3}),
+                  SchurVector(3, v.terms), DiagramVector(2, v.terms)):
+        assert v != other and not v == other
+    assert Poly.monomial(2, (1, 0), 2) != Poly.monomial(2, (1, 0))
+
+
 def test_repr():
-    assert repr(SchurVector(3, {(2, 1): -1, (): Fraction(1, 2)})) == "SchurVector(3, 1/2*s[] - 1*s[2, 1])"
+    # the terms as the CLI prints them
+    assert repr(SchurVector(3, {(2, 1): -1, (): Fraction(1, 2)})) == "SchurVector(3, 1/2*s[] - s[2,1])"
     assert repr(DiagramVector.zero()) == "DiagramVector(None, 0)"
-    assert repr(Poly.monomial(2, (1, 0), 3)) == "Poly(2, 3*x^[1, 0])"
+    assert repr(Poly.monomial(2, (1, 0), 3)) == "Poly(2, 3*x^[1,0])"
+
+
+def test_repr_prints_coefficients_of_any_length():
+    # past CPython's 4,300-digit limit on int-to-str (3.10.7 and later),
+    # which is restored afterwards
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    big, text = 10 ** 5000, "1" + "0" * 5000
+    v = SchurVector(1, {(): big, (1,): Fraction(-1, big)})
+    assert repr(v) == f"SchurVector(1, {text}*s[] - 1/{text}*s[1])"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def box_image(lam, constants, row_bound) -> list:

@@ -80,7 +80,18 @@ MUTANTS = [
      "c = c * m if type(c) is int else c._denominator * (m // c._numerator)", "killed"),
     ("power-any-exponent", "vector.py", "        k = index(k)\n", "", "killed"),
     ("rho1-basis-generator", "sl2_actions.py", "z_generator_schur(i + 1, n)", "z_generator_schur(i, n)", "killed"),
-    ("format-fraction-space", "cli.py", 'out.append(f"{num}/{den}*")', 'out.append(f"{num} / {den}*")', "killed"),
+    ("format-fraction-space", "vector.py", 'out.append(f"{num}/{den}*")', 'out.append(f"{num} / {den}*")',
+     "killed"),
+    # the one partition-key check of the Schur and diagram vectors
+    ("key-check-bound", "vector.py", "if rows is not None and len(lam) > rows:",
+     "if rows is not None and len(lam) >= rows:", "killed"),
+    # verify compares vectors as plain data, so the tests must pin equality itself
+    ("eq-always", "vector.py",
+     "type(other) is type(self)\n            and self.ambient == other.ambient\n            and self.terms == other.terms",
+     "type(other) is type(self)", "killed"),
+    ("eq-keys-only", "vector.py", "and self.terms == other.terms", "and self.terms.keys() == other.terms.keys()",
+     "killed"),
+    ("multiply-schur-check", "symfunc.py", "    SchurVector._require(u)\n", "", "killed"),
     ("token-digit-class", "exprlang.py", r're.compile(r"[0-9]+|\S")', r're.compile(r"\d+|\S")', "killed"),
     ("foreign-check", "exprlang.py", "foreign = _FOREIGN.search(text)", "foreign = None", "killed"),
     ("error-position", "exprlang.py", "starts = [m.start() + 1 for m", "starts = [m.start() for m", "killed"),
