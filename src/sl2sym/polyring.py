@@ -9,37 +9,61 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
-from operator import add, index
+from operator import add, index, sub
 
 from .combinatorics import Partition, check_partition
 from .symfunc import SchurVector
-from .vector import SparseVector, op_constants
 
-class Poly(SparseVector):
-    """Polynomial in a fixed number of variables `n`, stored as a map from
-    exponent tuples to nonzero rational coefficients."""
 
-    __slots__ = ()
-    LETTER = "x^"
-    n = property(lambda self: self.ambient)
+class Poly:
+    """Polynomial in a fixed number of variables `n`, stored as `terms`, a
+    plain dict from exponent tuples to nonzero coefficients: an int if
+    integral, otherwise a reduced Fraction.  Its arithmetic is plain
+    Fraction arithmetic written here, so that the oracle shares none of it
+    with the Schur-basis engine it checks."""
 
-    def _check_ambient(self, n):
+    __slots__ = ("n", "terms")
+    ambient = property(lambda self: self.n)
+
+    def __init__(self, n, terms=None):
         if index(n) < 1:
             raise ValueError("need at least one variable")
+        self.n, self.terms = n, {}
+        for exps, c in (terms or {}).items():
+            if isinstance(c, float):
+                raise TypeError(f"coefficient of {exps!r}: float {c!r} is not an exact coefficient: "
+                                "use an int, a Fraction or a Decimal")
+            exps = tuple(exps)
+            if len(exps) != n or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps!r} for {n} variables")
+            if type(c) is not int:
+                c = Fraction(c)
+                c = c.numerator if c.denominator == 1 else c
+            if c:
+                self.terms[exps] = c
 
-    def _check_key(self, exps):
-        exps = tuple(exps)
-        if len(exps) != self.n or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps!r} for {self.n} variables")
-        return exps
+    @classmethod
+    def _closed(cls, n: int, terms: dict) -> "Poly":
+        """The polynomial of `terms`, whose keys are checked exponent tuples
+        and whose values are ints or Fractions: zeros are dropped and
+        integral Fractions become ints."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = {e: c if type(c) is int or c.denominator != 1 else c.numerator
+                     for e, c in terms.items() if c}
+        return out
 
-    @staticmethod
-    def _unit_key(n):
-        return (0,) * index(n)
+    @classmethod
+    def zero(cls, n: int) -> "Poly":
+        return cls(n)
+
+    @classmethod
+    def unit(cls, n: int) -> "Poly":
+        return cls.constant(n, 1)
 
     @classmethod
     def constant(cls, n: int, c) -> "Poly":
-        return cls(n, {cls._unit_key(n): c})
+        return cls(n, {(0,) * index(n): c})
 
     @classmethod
     def variable(cls, n: int, k: int) -> "Poly":
@@ -54,8 +78,30 @@ class Poly(SparseVector):
     def monomial(cls, n: int, exps, c=1) -> "Poly":
         return cls(n, {tuple(exps): c})
 
+    def _same_ambient(self, other):
+        if type(other) is not Poly:
+            raise TypeError(f"cannot combine Poly with {type(other).__name__}")
+        if self.n != other.n:
+            raise ValueError(f"ambients differ: {self.n} vs {other.n}")
+
+    def _combine(self, other, op):
+        self._same_ambient(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = op(out.get(e, 0), c)
+        return self._closed(self.n, out)
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return self * -1
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # not through the box operator it checks
+        if isinstance(other, (int, Fraction)):
             return self._closed(self.n, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
@@ -68,6 +114,29 @@ class Poly(SparseVector):
         return self._closed(self.n, out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        k = index(k)
+        if k < 0:
+            raise ValueError("only natural powers")
+        out = self if k else self.unit(self.n)
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Poly and self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __repr__(self):
+        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), [-e for e in kv[0]]))
+        text = " + ".join(f"{c}*x^[{','.join(map(str, e))}]" for e, c in items)
+        return f"Poly({self.n}, {text or 0})"
 
     def partial(self, k: int) -> "Poly":
         """Formal partial derivative in x_k (1-based)."""
@@ -97,7 +166,9 @@ def _monomial_operator(op: str, f: Poly, constants: dict) -> Poly:
     """One of lower/cartan/raise, given on a monomial x^e by `constants[op]`
     = (a, b): lower and raise sum over k the monomial with e_k moved down or
     up by one, weighted a + b*e_k; cartan scales x^e by a + b*deg(e)."""
-    a, b = op_constants(constants, op)
+    if op not in constants:
+        raise ValueError(f"unknown operator {op!r}")
+    a, b = constants[op]
     step = 1 if op == "raise" else -1
     out = {}
     for exps, c in f.terms.items():

@@ -2,19 +2,16 @@
 lowest-weight (kernel) computation, the decomposition into irreducibles and
 the characters."""
 
-from collections import defaultdict
-from math import gcd
+from collections import defaultdict, namedtuple
+from math import gcd, lcm
 from operator import index
-from typing import NamedTuple
 
 from .combinatorics import _box_binomial, _box_multiplicities, alpha_degree, alpha_tuples
 from .symfunc import SchurVector, multiply, z_generator_schur
-from .vector import _divided, _integers, box_operator, op_constants
+from .vector import _reduced, box_operator, op_constants
 
 
-class LowestWeightVector(NamedTuple):
-    vector: SchurVector
-    weight: int
+LowestWeightVector = namedtuple("LowestWeightVector", ("vector", "weight"))
 
 
 def kerov_constants(z, zprime) -> dict:
@@ -54,7 +51,7 @@ def act_rho2(op: str, v: SchurVector, d: int) -> SchurVector:
     """Second action on Schur vectors in the n x d box (see rho2_constants)."""
     SchurVector._require(v)
     constants = op_constants(rho2_constants(v.n, d), op)
-    for lam in v.terms:
+    for lam in v.nums:
         if lam and lam[0] > d:
             raise ValueError(f"partition {lam!r} violates the column bound {d}")
     return box_operator(v, constants, v.n)
@@ -93,31 +90,32 @@ def decompose_finite(n: int, d: int) -> dict[int, int]:
     return {i: mults[i] for i in range(len(mults) - 1, -1, -2) if mults[i]}
 
 
-def rational_nullspace(images: list[dict]) -> list[dict]:
+def rational_nullspace(images: list[dict]) -> list[tuple]:
     """Kernel of the linear map sending basis element j to `images[j]`, a
-    sparse {key: canonical coefficient} dict that is not changed.  Each
-    image is reduced in order against the pivots, the earlier images that
-    are independent, each kept reduced as e_t with the key it clears and
-    the steps it took: e_t = S*image - sum(b*e_u).  An image j that reduces
-    to zero has S*image_j = sum(b*e_t); expanded through the steps, latest
-    pivot first, this gives the kernel vector {j: 1, p: -c_p}, the unique
-    one supported on j and the earlier pivots: the vector a reduced row
-    echelon form gives for the free column j.  The reduction runs over
-    integers, each image first scaled by the lcm of its denominators; only
-    the kernel vectors are divided out.  A new pivot clears the smallest
-    key left in its image, `min(v)`.  The output does not depend on that
-    choice: which images are pivots depends only on the span of the earlier
-    ones, and the kernel vector on j and the earlier pivots is unique.  The
-    key only sets the cost: on the rho2 kernels the smallest partition keeps
-    the integers short (at most 91 bits at 7 x 7, against 639 bits when the
-    first key left is cleared)."""
+    sparse {key: canonical coefficient} dict that is not changed, as one
+    (den, {j: numerator}) pair per kernel vector, in the normal form of the
+    vector classes (`vector._reduced`).  Each image is reduced in order
+    against the pivots, the earlier images that are independent, each kept
+    reduced as e_t with the key it clears and the steps it took: e_t =
+    S*image - sum(b*e_u).  An image j that reduces to zero has S*image_j =
+    sum(b*e_t); expanded through the steps, latest pivot first, this gives
+    the kernel vector {j: 1, p: -c_p}, the unique one supported on j and the
+    earlier pivots: the vector a reduced row echelon form gives for the free
+    column j.  The reduction runs over integers, each image first scaled by
+    the lcm of its denominators, and the kernel vector's integer sums over S
+    are normalized once.  A new pivot clears the smallest key left in its
+    image, `min(v)`.  The output does not depend on that choice: which
+    images are pivots depends only on the span of the earlier ones, and the
+    kernel vector on j and the earlier pivots is unique.  The key only sets
+    the cost: on the rho2 kernels the smallest partition keeps the integers
+    short (at most 91 bits at 7 x 7, against 639 bits when the first key
+    left is cleared)."""
     pivots = []
     relations = []
     kernel = []
     for j, image in enumerate(images):
-        s, v = _integers(image)
-        if v is image:
-            v = dict(image)
+        s = lcm(*[c.denominator for c in image.values() if type(c) is not int])
+        v = dict(image) if s == 1 else {key: c.numerator * (s // c.denominator) for key, c in image.items()}
         steps = []
         for key, reduced, t in pivots:
             f = v.get(key)
@@ -154,7 +152,7 @@ def rational_nullspace(images: list[dict]) -> list[dict]:
                 vec[col] = -c * scale
                 for u, b in recorded:
                     coeffs[u] = coeffs.get(u, 0) - c * b
-        kernel.append(_divided(vec.items(), s))
+        kernel.append(_reduced(s, vec, vec.values()))
     return kernel
 
 
@@ -213,7 +211,7 @@ def lowest_weight_space_rho2(n: int, d: int) -> list[LowestWeightVector]:
         if len(kernel) != expected:
             raise ArithmeticError(f"weight {2 * m - n * d} of the {n} x {d} box has "
                                   f"{len(kernel)} kernel vectors, not {expected}")
-        for vec in kernel:
-            sv = SchurVector._wrap(n, {domain[j]: vec[j] for j in sorted(vec)})
+        for den, nums in kernel:
+            sv = SchurVector._wrap(n, den, {domain[j]: nums[j] for j in sorted(nums)})
             out.append(LowestWeightVector(sv, 2 * m - n * d))
     return out

@@ -8,7 +8,7 @@ from math import comb
 from operator import index
 
 from .combinatorics import Partition
-from .vector import SparseVector, _divided, _integers
+from .vector import SparseVector, _reduced
 
 
 class SchurVector(SparseVector):
@@ -95,22 +95,21 @@ def _basis_product(lam: Partition, mu: Partition, n: int) -> dict:
 def multiply(u: SchurVector, v: SchurVector) -> SchurVector:
     """Product in the Schur basis by the Littlewood-Richardson rule (see
     `_basis_product`), truncated to the n rows of the operands.  Sums run
-    over integers, each operand scaled by the lcm of its denominators."""
+    over the operands' integer numerators, over the product of their
+    denominators."""
     SchurVector._require(u)
     u._same_ambient(v)
     n = u.n
-    du, u_terms = _integers(u.terms)
-    dv, v_terms = _integers(v.terms)
-    u_terms, v_terms = u_terms.items(), v_terms.items()
+    v_nums = v.nums.items()
     out = {}
     get = out.get
-    for lam, a in u_terms:
-        for mu, b in v_terms:
+    for lam, a in u.nums.items():
+        for mu, b in v_nums:
             ab = a * b
             product = _basis_product(lam, mu, n) if lam <= mu else _basis_product(mu, lam, n)
             for nu, c in product.items():
                 out[nu] = get(nu, 0) + ab * c
-    return SchurVector._wrap(n, _divided(out.items(), du * dv))
+    return SchurVector._wrap(n, *_reduced(u.den * v.den, out, out.values()))
 
 
 def power_sum_schur(k: int, n: int) -> SchurVector:

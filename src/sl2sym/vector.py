@@ -69,39 +69,38 @@ def canonical_coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _integers(terms: dict) -> tuple:
-    """(m, {key: m*c}): canonical `terms` scaled to ints over m, the lcm of
-    their denominators; `terms` itself when m = 1.  Ints take a type test
-    and Fractions are read through their two slots, so no coefficient costs
-    a Python-level call."""
-    m = lcm(*[c._denominator for c in terms.values() if type(c) is not int])
-    if m == 1:
-        return 1, terms
-    return m, {key: c * m if type(c) is int else c._numerator * (m // c._denominator)
-               for key, c in terms.items()}
+def _reduced(den: int, keys, values) -> tuple:
+    """(den, nums) of a closed operation's result, from integer sums over
+    the nonzero `den`: `values`, a collection read twice, and `keys`, an
+    iterable of their keys in the same order.  Zeros are dropped, `den`
+    made positive, and both divided by their content gcd, most often 1.
+    The one normalizer of the vector form."""
+    g = gcd(den, *values)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, {key: x for key, x in zip(keys, values) if x}
+    return den // g, {key: x // g for key, x in zip(keys, values) if x}
 
 
 def _divided(items, den: int) -> dict:
-    """Integer sums over one denominator `den` (of either sign), given as
-    (key, sum) pairs, as canonical coefficients: zeros dropped, an int
-    where `den` divides a sum, else a reduced Fraction.  One gcd per term;
-    a Fraction is built without its public constructor and its type checks,
-    its two slots (`_numerator`, `_denominator`, on every CPython from 3.6
-    to 3.13) filled directly, as CPython's own `Fraction._from_coprime_ints`
-    does on 3.12 and later."""
-    if den < 0:
-        return _divided(((key, -x) for key, x in items), -den)
+    """The canonical coefficients {key: int | Fraction} of nonzero integer
+    numerators over one positive denominator `den`, given as (key,
+    numerator) pairs: an int where `den` divides a numerator, else a reduced
+    Fraction.  One gcd per term; a Fraction is built without its public
+    constructor and its type checks, its two slots (`_numerator`,
+    `_denominator`, on every CPython from 3.6 to 3.13) filled directly, as
+    CPython's own `Fraction._from_coprime_ints` does on 3.12 and later."""
     if den == 1:
-        return {key: x for key, x in items if x}
+        return dict(items)
     out = {}
     for key, x in items:
-        if x:
-            g = gcd(x, den)
-            if g == den:
-                out[key] = x // den
-            else:
-                f = out[key] = object.__new__(Fraction)
-                f._numerator, f._denominator = x // g, den // g
+        g = gcd(x, den)
+        if g == den:
+            out[key] = x // den
+        else:
+            f = out[key] = object.__new__(Fraction)
+            f._numerator, f._denominator = x // g, den // g
     return out
 
 
@@ -112,19 +111,22 @@ class SparseVector:
     most `ambient` rows (None: any), a `NOUN` in errors, unless a subclass
     overrides `_check_key`, which returns the key as stored.
 
-    Every stored coefficient is canonical: a nonzero int if it is
-    integral, otherwise a reduced Fraction.  A vector is immutable: no code
-    changes `terms` after construction, so results that only relabel or
-    hand over a dict (`_wrap`) may share it with their input."""
+    A vector stores `den`, a positive int, and `nums`, a dict of nonzero
+    ints by key, with gcd(den, *nums.values()) == 1: the coefficient of a
+    key is its numerator over `den`.  That form is unique, so equality and
+    the hash read it directly; `terms` builds the canonical coefficients
+    (an int if integral, otherwise a reduced Fraction) on every read.  A
+    vector is immutable: no code changes `nums` after construction, so
+    results that only relabel (`_wrap`) may share it with their input."""
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ("ambient", "den", "nums")
     LETTER = "?"
     NOUN = "partition"
 
     def __init__(self, ambient, terms=None):
         self._check_ambient(ambient)
         self.ambient = ambient
-        clean = {}
+        clean, den = {}, 1
         if terms:
             for key, c in terms.items():
                 try:
@@ -133,7 +135,18 @@ class SparseVector:
                     raise TypeError(f"coefficient of {key!r}: {exc}") from None
                 if c:
                     clean[self._check_key(key)] = c
-        self.terms = clean
+                    if type(c) is not int:
+                        den = lcm(den, c._denominator)
+        # the lcm of reduced denominators leaves no common factor to divide
+        self.den = den
+        self.nums = clean if den == 1 else {
+            key: c * den if type(c) is int else c._numerator * (den // c._denominator) for key, c in clean.items()}
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients {key: int | Fraction}, in term order, built anew
+        from (den, nums) on every read."""
+        return _divided(self.nums.items(), self.den)
 
     def _check_key(self, lam):
         lam, rows = check_partition(lam), self.ambient
@@ -142,24 +155,12 @@ class SparseVector:
         return lam
 
     @classmethod
-    def _wrap(cls, ambient, terms: dict):
-        """A vector holding `terms` itself, not a copy, and unchecked: its
-        keys must be checked keys and its values nonzero canonical
-        coefficients."""
+    def _wrap(cls, ambient, den: int, nums: dict):
+        """A vector holding `nums` itself, not a copy, and unchecked: its
+        keys must be checked keys and (den, nums) in the normal form."""
         out = cls.__new__(cls)
-        out.ambient = ambient
-        out.terms = terms
+        out.ambient, out.den, out.nums = ambient, den, nums
         return out
-
-    @classmethod
-    def _closed(cls, ambient, terms: dict):
-        """Result of a closed operation, whose keys come from checked keys
-        and whose coefficients are ints or Fractions: zeros are dropped and
-        integral Fractions become ints."""
-        return cls._wrap(ambient, {
-            key: c if type(c) is int or c._denominator != 1 else c._numerator
-            for key, c in terms.items() if c
-        })
 
     @classmethod
     def _require(cls, v):
@@ -173,11 +174,7 @@ class SparseVector:
 
     @classmethod
     def unit(cls, ambient=None):
-        return cls(ambient, {cls._unit_key(ambient): 1})
-
-    @staticmethod
-    def _unit_key(ambient):
-        return ()
+        return cls(ambient, {(): 1})
 
     def _same_ambient(self, other):
         if type(other) is not type(self):
@@ -187,10 +184,13 @@ class SparseVector:
 
     def _combine(self, other, op):
         self._same_ambient(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = op(out.get(key, 0), c)
-        return self._closed(self.ambient, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = dict(self.nums) if a == 1 else {key: x * a for key, x in self.nums.items()}
+        get = out.get
+        for key, x in other.nums.items():
+            out[key] = op(get(key, 0), x * b)
+        return self._wrap(self.ambient, *_reduced(den, out, out.values()))
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -212,7 +212,7 @@ class SparseVector:
         k = index(k)
         if k < 0:
             raise ValueError("only natural powers")
-        unit = self._closed(self.ambient, {self._unit_key(self.ambient): 1})
+        unit = self._wrap(self.ambient, 1, {(): 1})
         if k < 2:  # one product at k = 1 too, so a class without one refuses every k >= 1
             return unit * self if k else unit
         out = self
@@ -224,14 +224,15 @@ class SparseVector:
         return (
             type(other) is type(self)
             and self.ambient == other.ambient
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __hash__(self):
-        return hash((self.ambient, frozenset(self.terms.items())))
+        return hash((type(self), self.ambient, self.den, frozenset(self.nums.items())))
 
     def sorted_terms(self) -> list:
         """Items sorted by degree, then lexicographically descending key."""
@@ -304,39 +305,22 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
     removable cell ("remove") or plus each cell addable within `row_bound`
     rows (None: unbounded) ("add"), top to bottom, weighted a + b*content, or
     to lam weighted a + b*|lam| ("diagonal").  The constants are scaled to
-    integers over k, the lcm of their denominators.  A diagonal term is
-    divided on its own: its numerator times a + b*|lam| over its
-    denominator times k, canonicalized inline as `_divided` does.  The
-    other parts scale each coefficient to an int over m, the lcm of the
-    input's denominators, as they read it, sum c*(a + b*content) over its
-    `_NEIGHBOURS` (walked on a miss) as ints keyed by partition index, and
-    divide each sum once by k*m through `_divided`."""
+    integers over k, the lcm of their denominators, and the result is the
+    integer sums over v.den * k: each numerator of v times a + b*|lam|
+    ("diagonal"), or c*(a + b*content) summed over the `_NEIGHBOURS` of each
+    key (walked on a miss) as ints keyed by partition index, and brought to
+    the normal form by one content gcd (`_reduced`)."""
     part, a, b = constants
     k = lcm(a.denominator, b.denominator)
     a, b = a.numerator * (k // a.denominator), b.numerator * (k // b.denominator)
     if part == "diagonal":
-        out = {}
-        for lam, c in v.terms.items():
-            if type(c) is int:
-                x, den = c * (a + b * sum(lam)), k
-            else:
-                x, den = c._numerator * (a + b * sum(lam)), c._denominator * k
-            if x:
-                g = gcd(x, den)
-                if g == den:
-                    out[lam] = x // den
-                else:
-                    f = out[lam] = object.__new__(Fraction)
-                    f._numerator, f._denominator = x // g, den // g
-        return v._wrap(row_bound, out)
-    m = lcm(*[c._denominator for c in v.terms.values() if type(c) is not int])
+        weighted = [x * (a + b * sum(lam)) for lam, x in v.nums.items()]
+        return v._wrap(row_bound, *_reduced(v.den * k, v.nums, weighted))
     sums = {}
     get = sums.get
     table = _NEIGHBOURS[part]
     bounded = part != "remove" and row_bound is not None
-    for lam, c in v.terms.items():
-        if m != 1:
-            c = c * m if type(c) is int else c._numerator * (m // c._denominator)
+    for lam, c in v.nums.items():
         nbrs = table.get(lam)
         if nbrs is None:
             nbrs = table[_PARTITIONS[_index(lam)]] = _walk(lam, part)
@@ -346,4 +330,4 @@ def box_operator(v: SparseVector, constants, row_bound) -> SparseVector:
             nbrs = nbrs[:-1]
         for i, w in nbrs:
             sums[i] = get(i, 0) + c * (a + b * w)
-    return v._wrap(row_bound, _divided(zip(map(_PARTITIONS.__getitem__, sums), sums.values()), k * m))
+    return v._wrap(row_bound, *_reduced(v.den * k, map(_PARTITIONS.__getitem__, sums), sums.values()))

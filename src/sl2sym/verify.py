@@ -6,12 +6,11 @@ operators and of both actions at their Kerov parameter points, all at desk
 scale."""
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial
-from typing import NamedTuple
 
 from .combinatorics import alpha_degree, alpha_tuples, gamma, lw_counts, partitions, sylvester_cayley
 from .polyring import (
@@ -59,12 +58,7 @@ THREE_VAR_TABLES = {
 THREE_VAR_MULTIPLICITIES = (1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2)
 
 
-class Check(NamedTuple):
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
-    note: bool = False
+Check = namedtuple("Check", ("suite", "name", "ok", "detail", "note"), defaults=("", False))
 
 
 def _monomials(n, max_deg):

@@ -2,18 +2,15 @@
 transported sl2-actions, the two-parameter Kerov operators on unbounded
 diagrams, and the relabeling isomorphism with the Schur basis."""
 
-from fractions import Fraction
+from collections import namedtuple
 from operator import index
-from typing import NamedTuple
 
 from .sl2_actions import act_rho1, act_rho2, kerov_constants
 from .symfunc import SchurVector
 from .vector import SparseVector, box_operator, canonical_coefficient, op_constants
 
 
-class KerovParams(NamedTuple):
-    z: Fraction
-    zprime: Fraction
+KerovParams = namedtuple("KerovParams", ("z", "zprime"))
 
 
 class DiagramVector(SparseVector):
@@ -37,15 +34,15 @@ class DiagramVector(SparseVector):
 
 def _schur_rows(v: DiagramVector, n: int) -> SchurVector:
     """The diagrams of `v`, whose keys are already checked partitions, as
-    a Schur vector in n variables sharing v's terms: only v's type, n and
-    the row counts are checked."""
+    a Schur vector in n variables sharing v's (den, nums): only v's type, n
+    and the row counts are checked."""
     DiagramVector._require(v)
     if index(n) < 0:
         raise ValueError(f"need n >= 0 variables, got {n}")
-    for lam in v.terms:
+    for lam in v.nums:
         if len(lam) > n:
             raise ValueError(f"partition {lam!r} has more than {n} rows")
-    return SchurVector._wrap(n, v.terms)
+    return SchurVector._wrap(n, v.den, v.nums)
 
 
 def hat_apply(op: str, v: DiagramVector, n: int) -> DiagramVector:
@@ -74,12 +71,12 @@ def kerov_apply(op: str, v: DiagramVector, params: KerovParams) -> DiagramVector
 
 
 def phi(v: DiagramVector) -> SchurVector:
-    """Relabel diagrams as Schur basis elements (the terms are shared)."""
+    """Relabel diagrams as Schur basis elements ((den, nums) is shared)."""
     if v.row_bound is None:
         raise ValueError("need a row-bounded diagram vector")
-    return SchurVector._wrap(v.row_bound, v.terms)
+    return SchurVector._wrap(v.row_bound, v.den, v.nums)
 
 
 def phi_inverse(u: SchurVector) -> DiagramVector:
-    """Relabel Schur basis elements as diagrams (the terms are shared)."""
-    return DiagramVector._wrap(u.n, u.terms)
+    """Relabel Schur basis elements as diagrams ((den, nums) is shared)."""
+    return DiagramVector._wrap(u.n, u.den, u.nums)

@@ -29,6 +29,15 @@ def test_act_rho1_lower(capsys):
     assert out.strip() == "-2*s[2] - 4*s[1,1]"
 
 
+@pytest.mark.parametrize("op", ["lower", "raise", "cartan"])
+@pytest.mark.parametrize("rep, expr", [("rho1", "s[]"), ("hat", "y[]"), ("tilde", "y[]")])
+def test_act_with_no_variables_prints_zero(capsys, rep, expr, op):
+    # n = 0 is the algebra of no variables: every operator sends s[] to 0
+    flags = ["--d", "2"] if rep == "tilde" else []
+    code, out, err = run_cli(capsys, "act", "--rep", rep, "--op", op, "--n", "0", *flags, "--expr", expr)
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_act_json_document(capsys):
     argv = [
         "act", "--rep", "rho1", "--op", "lower", "--n", "3",

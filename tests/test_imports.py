@@ -22,7 +22,7 @@ ORACLE_ONLY = ("act_rho1_named", "count_partitions_in_rectangle", "elementary_sc
 DELETED = ("decompose_lambda_n", "xi_minus", "nabla", "pieri_e1", "pi_k", "zeta",
            "weight_of_alpha", "print_expr", "canonical_order", "_box_sums", "_neighbours",
            "_gaussian_binomial", "_cayley_sylvester", "_BINOMIALS", "_MULTIPLICITIES", "_remember",
-           "_CACHE_LOCK", "_CACHE_SIZE")
+           "_CACHE_LOCK", "_CACHE_SIZE", "_integers")
 
 
 def import_time_imports(source: str) -> set:
@@ -72,6 +72,23 @@ def test_engine_module_imports_no_oracle(module):
 @pytest.mark.parametrize("module", ("sl2sym",) + tuple(f"sl2sym.{m}" for m in ENGINE))
 def test_engine_module_binds_no_oracle_only_helper(module):
     assert not set(vars(importlib.import_module(module))) & set(ORACLE_ONLY + DELETED)
+
+
+def test_monomial_oracle_imports_nothing_from_vector():
+    # Poly has its own storage and arithmetic: no import in polyring, in a
+    # function body or not, names the engine's vector module, and no name
+    # it binds comes from there
+    import sl2sym.polyring as polyring
+
+    named = set()
+    for node in ast.walk(ast.parse((SRC / "sl2sym" / "polyring.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            named.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+    assert not [name for name in named if "vector" in name.split(".")]
+    assert not [name for name, value in vars(polyring).items()
+                if getattr(value, "__module__", None) == "sl2sym.vector"]
 
 
 def test_verify_binds_the_oracle_only_helpers():
@@ -139,6 +156,18 @@ def test_cli_loads_json_only_for_json_output():
     )
     assert run.returncode == 0, run.stderr
     assert ast.literal_eval(run.stderr.splitlines()[-1]) == [[0] * 6, [False, False], True]
+
+
+def test_cli_import_leaves_typing_out():
+    # a cold `import sl2sym.cli` pays for no module it does not use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, sl2sym.cli; print('typing' in sys.modules)"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 def test_all_lists_exactly_the_public_names():

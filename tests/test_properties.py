@@ -10,9 +10,10 @@ also after unrelated calls or other threads have filled the partition
 index), the rho2 kernel levels and their images against that spec, the
 canonical coefficients (int when integral, Fractions in lowest terms) of
 every closed operation, scalar products against plain Fraction arithmetic
-(the monomial oracle's without the engine's box operator), and the
-engine's canonicalizer `_divided`, which fills the two slots of Fraction,
-against the public constructor.  Also the
+(the monomial oracle's without the engine's box operator), the normal
+form (den, nums) of every closed operation against plain Fraction
+arithmetic, and that form read by `_divided`, which fills the two slots
+of Fraction, against the public constructor.  Also the
 exact sparse kernel against sympy's on random sparse rational matrices,
 the dimension identity of one large finite decomposition, the closed
 forms of Kerov's U^m and D^m, and both actions as Kerov operators at
@@ -38,6 +39,7 @@ from sl2sym.sl2_actions import (
     character_finite,
     decompose_finite,
     kerov_constants,
+    lowest_weight_space_rho2,
     rational_nullspace,
     rho1_constants,
     rho2_constants,
@@ -46,7 +48,7 @@ from sl2sym.exprlang import evaluate
 from sl2sym.symfunc import SchurVector, _basis_product, multiply
 from sl2sym.verify import as_data, content_product, standard_tableaux
 from sl2sym import vector
-from sl2sym.vector import _divided, box_operator, canonical_coefficient
+from sl2sym.vector import _divided, _reduced, box_operator, canonical_coefficient
 from sl2sym.young import (
     DiagramVector,
     KerovParams,
@@ -57,7 +59,7 @@ from sl2sym.young import (
     tilde_apply,
 )
 
-from test_vector import assert_canonical, box_image, box_operator_reference
+from test_vector import assert_canonical, assert_normal_form, box_image, box_operator_reference
 from test_young import transported
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -175,6 +177,13 @@ def basis_pairs(draw):
     return n, lam, mu
 
 
+def normal_terms(sums, den) -> dict:
+    """The coefficients of the (key, integer sum) pairs `sums` over `den`:
+    the normal form by `_reduced`, then read by `_divided`."""
+    den, nums = _reduced(den, [key for key, _ in sums], [x for _, x in sums])
+    return _divided(nums.items(), den)
+
+
 big_ints = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
 
 
@@ -187,12 +196,13 @@ big_ints = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
 @example(x=0, den=7, multiple=False, other=Fraction(1))
 @settings(max_examples=300, deadline=None)
 def test_fraction_helper_equals_constructor(x, den, multiple, other):
-    # `_divided` on one sum: den of both signs, x a multiple of den (an
-    # int) or not (a Fraction whose slots it fills), x = 0 (dropped)
+    # one sum brought to the normal form by `_reduced`, then read by
+    # `_divided`: den of both signs, x a multiple of den (an int) or not (a
+    # Fraction whose slots it fills), x = 0 (dropped)
     if multiple:
         x *= den
     expected = Fraction(x, den)
-    out = _divided([("key", x)], den)
+    out = normal_terms([("key", x)], den)
     if not x:
         assert out == {}
         return
@@ -222,7 +232,7 @@ def test_divided_keeps_order_drops_zeros_and_makes_ints(den):
     sums = [("a", 12), ("b", 0), ("c", -3), ("d", 4), ("e", -6), ("f", 5)]
     expected = {key: Fraction(x, den) for key, x in sums if x}
     expected = {key: int(c) if c.denominator == 1 else c for key, c in expected.items()}
-    got = _divided(iter(sums), den)
+    got = normal_terms(sums, den)
     assert [(key, type(c), c) for key, c in got.items()] == [(key, type(c), c) for key, c in expected.items()]
     assert [type(got[key]) for key in "acde"] == ([int, Fraction, Fraction, int] if abs(den) == 6 else [int] * 4)
 
@@ -423,6 +433,69 @@ def test_closed_operations_keep_coefficients_canonical(data, other, z, zprime, k
         assert_canonical(res)
 
 
+def fraction_sum(*scaled) -> dict:
+    """The sum of (scalar, terms) pairs by plain Fraction arithmetic, each
+    coefficient an int when integral, zeros dropped."""
+    out = {}
+    for q, terms in scaled:
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + Fraction(c) * q
+    return {key: int(c) if c.denominator == 1 else c for key, c in out.items() if c}
+
+
+@given(data=sparse_terms(), other=st.lists(rationals, min_size=6, max_size=6), q=rationals,
+       k=st.integers(0, 3), z=rationals, zprime=rationals, d=st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_closed_operations_keep_the_normal_form(data, other, q, k, z, zprime, d):
+    # every result stores den > 0 and nonzero nums with no common factor,
+    # and its terms, equality and hash agree with Fraction arithmetic on
+    # the inputs' terms, the hash and equality through the checked
+    # constructor
+    n, _, terms = data
+    u, w = SchurVector(n, terms), SchurVector(n, dict(zip(terms, other)))
+    small = SchurVector(n, {lam: c for lam, c in terms.items() if sum(lam) <= 3})
+    bounded, free = DiagramVector(n, terms), DiagramVector(None, terms)
+    boxed = {lam: c for lam, c in terms.items() if not lam or lam[0] <= d}
+    power = SchurVector.unit(n)
+    for _ in range(k):
+        power = multiply_reference(power, small)
+    cases = [
+        (u + w, fraction_sum((1, u.terms), (1, w.terms))),
+        (u - w, fraction_sum((1, u.terms), (-1, w.terms))),
+        (u * q, fraction_sum((q, u.terms))), (q * free, fraction_sum((q, terms))), (-u, fraction_sum((-1, terms))),
+        (small ** k, power.terms), (multiply(small, w), multiply_reference(small, w).terms),
+        (phi(bounded), fraction_sum((1, terms))), (phi_inverse(u), fraction_sum((1, terms))),
+    ]
+    params = KerovParams(z, zprime)
+    for op in ("lower", "cartan", "raise"):
+        rho1, rho2 = rho1_constants(n)[op], rho2_constants(n, d)[op]
+        cases += [
+            (act_rho1(op, u), box_operator_reference(u, rho1, n)),
+            (act_rho2(op, SchurVector(n, boxed), d), box_operator_reference(SchurVector(n, boxed), rho2, n)),
+            (hat_apply(op, bounded, n), box_operator_reference(bounded, rho1, n)),
+            (tilde_apply(op, DiagramVector(n, boxed), n, d),
+             box_operator_reference(DiagramVector(n, boxed), rho2, n)),
+        ]
+    cases += [(kerov_apply(op, free, params), box_operator_reference(free, kerov_constants(z, zprime)[op], None))
+              for op in "ULD"]
+    for out, reference in cases:
+        assert_normal_form(out.den, out.nums)
+        reference = fraction_sum((1, reference))
+        assert {key: (type(c), c) for key, c in out.terms.items()} == {
+            key: (type(c), c) for key, c in reference.items()}
+        expected = type(out)(out.ambient, reference)
+        assert out == expected and not out != expected and hash(out) == hash(expected)
+
+
+def test_kernel_vectors_keep_the_normal_form():
+    # wrapped from the nullspace's (den, nums), whose den is negative
+    # before it is normalized on the 4 x 3 and 4 x 4 boxes
+    for n, d in ((4, 3), (4, 4), (5, 5)):
+        for vec, _ in lowest_weight_space_rho2(n, d):
+            assert_normal_form(vec.den, vec.nums)
+            assert vec == SchurVector(n, vec.terms)
+
+
 def scaled_reference(v, q) -> list:
     """The terms of q*v in order, each coefficient c*q by plain Fraction
     arithmetic, an int when integral, zeros dropped."""
@@ -452,7 +525,7 @@ def test_oracle_scales_without_the_box_operator(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle ran the engine's scaling")
 
-    for name in ("box_operator", "_divided", "_integers"):
+    for name in ("box_operator", "_reduced"):
         monkeypatch.setattr(vector, name, refuse)
     with pytest.raises(AssertionError, match="the oracle ran"):
         SchurVector(2, {(1,): 1}) * Fraction(2, 3)
@@ -489,10 +562,7 @@ def multiply_reference(u, v) -> SchurVector:
             key = (lam, mu) if lam <= mu else (mu, lam)
             for nu, c in _basis_product(key[0], key[1], u.n).items():
                 out[nu] = out.get(nu, 0) + a * b * c
-    return SchurVector._wrap(u.n, {
-        nu: c if type(c) is int or c.denominator != 1 else c.numerator
-        for nu, c in out.items() if c
-    })
+    return SchurVector(u.n, out)
 
 
 @st.composite
@@ -595,9 +665,9 @@ def test_nullspace_equals_sympy(sympy, data):
         {j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(vec) if x}
         for vec in sympy.Matrix(rows).nullspace()
     ]
-    assert kernel == expected
-    for vec in kernel:
-        assert_canonical(vec)
+    assert [{j: Fraction(x, den) for j, x in nums.items()} for den, nums in kernel] == expected
+    for den, nums in kernel:
+        assert_normal_form(den, nums)
 
 
 def test_large_decomposition_dimension_identity():

@@ -26,6 +26,8 @@ from sl2sym.vector import box_operator
 from sl2sym.verify import act_rho1_named, elementary_schur, peel_character, vd_realization
 from sl2sym.young import DiagramVector
 
+from test_vector import assert_normal_form
+
 
 def basis(n, lam):
     return SchurVector.basis(n, lam)
@@ -267,8 +269,8 @@ def test_lowest_weight_space_rho2_equals_all_weights_reference(n):
         reference = []
         for m in range(n * d + 1 if n <= 5 and d <= 5 else n * d // 2 + 1):
             domain, images = lowering_images(n, d, m)
-            for vec in rational_nullspace(images):
-                sv = SchurVector(n, {domain[j]: vec[j] for j in sorted(vec)})
+            for den, nums in rational_nullspace(images):
+                sv = SchurVector(n, {domain[j]: Fraction(nums[j], den) for j in sorted(nums)})
                 reference.append((2 * m - n * d, list(sv.terms.items())))
         lw = lowest_weight_space_rho2(n, d)
         assert repr([(weight, list(vec.terms.items())) for vec, weight in lw]) == repr(reference), d
@@ -351,32 +353,43 @@ def test_standard_module_relations():
                 assert act_rho1("cartan", v) == Fraction(w + 2 * k) * v
 
 
+def nullspace_terms(images) -> list[dict]:
+    """The kernel vectors of `images`, each checked to be in the normal
+    form, as {j: coefficient}."""
+    out = []
+    for den, nums in rational_nullspace(images):
+        assert_normal_form(den, nums)
+        out.append({j: Fraction(x, den) for j, x in nums.items()})
+    return out
+
+
 def test_rational_linear_algebra():
-    # the columns (1, 2) and (2, 4): the second is twice the first
-    assert rational_nullspace([{"a": 1, "b": 2}, {"a": 2, "b": 4}]) == [{1: 1, 0: -2}]
-    assert rational_nullspace([{"a": Fraction(1, 2)}, {"a": 3}, {"b": 1}]) == [{1: 1, 0: -6}]
-    assert rational_nullspace([{"a": 2}, {"a": 3}]) == [{1: 1, 0: Fraction(-3, 2)}]
+    # each kernel vector is (den, {j: numerator}) in the normal form; the
+    # columns (1, 2) and (2, 4): the second is twice the first
+    assert rational_nullspace([{"a": 1, "b": 2}, {"a": 2, "b": 4}]) == [(1, {1: 1, 0: -2})]
+    assert rational_nullspace([{"a": Fraction(1, 2)}, {"a": 3}, {"b": 1}]) == [(1, {1: 1, 0: -6})]
+    assert rational_nullspace([{"a": 2}, {"a": 3}]) == [(2, {1: 2, 0: -3})]
     # every image empty: the unit vectors
-    assert rational_nullspace([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
+    assert rational_nullspace([{}, {}, {}]) == [(1, {0: 1}), (1, {1: 1}), (1, {2: 1})]
     assert rational_nullspace([]) == []
     # image 3 reduces through pivots 0, 1 and 2, and each of pivots 1 and 2
     # was itself reduced by the one before it: expanding its steps walks
     # that chain, adding into the coefficients of pivots 1 and 0
     chain = [{"a": 1, "b": 1}, {"a": 1, "c": 1}, {"c": 1, "d": 1}, {"a": 2, "b": 1, "c": 2, "d": 1}]
-    assert rational_nullspace(chain) == [{3: 1, 2: -1, 1: -1, 0: -1}]
+    assert nullspace_terms(chain) == [{3: 1, 2: -1, 1: -1, 0: -1}]
     # the same image twice: its steps cancel on the way down the chain
-    assert rational_nullspace(chain[:3] + [chain[2]]) == [{3: 1, 2: -1}]
+    assert nullspace_terms(chain[:3] + [chain[2]]) == [{3: 1, 2: -1}]
     # pivot 1 is 2*image_1 - 3*e_0, so its scale 2 enters the kernel vector
-    assert rational_nullspace([{"a": 2, "b": 1}, {"a": 3, "c": 1}, {"b": 3, "c": -2}]) == [
+    assert nullspace_terms([{"a": 2, "b": 1}, {"a": 3, "c": 1}, {"b": 3, "c": -2}]) == [
         {2: 1, 1: 2, 0: -3}
     ]
     # image 2 records a step on pivot 0, then pivot 1 = 2*e_b rescales it
     # by 2: the recorded multiplier must be rescaled too; pivot 1's row
     # has content 2 but its scale is 1, so its relation is not divided
-    assert rational_nullspace([{"a": 1}, {"b": 2}, {"a": 1, "b": 1}]) == [
+    assert nullspace_terms([{"a": 1}, {"b": 2}, {"a": 1, "b": 1}]) == [
         {2: 1, 1: Fraction(-1, 2), 0: -1}
     ]
     # Fraction images: each is scaled by the lcm of its denominators
     halves = [{"a": Fraction(1, 2), "b": Fraction(1, 3)},
               {"a": Fraction(3, 4), "b": Fraction(1, 2)}]
-    assert rational_nullspace(halves) == [{1: 1, 0: Fraction(-3, 2)}]
+    assert nullspace_terms(halves) == [{1: 1, 0: Fraction(-3, 2)}]

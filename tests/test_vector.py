@@ -16,9 +16,11 @@ ALGEBRA = ("__init__", "__add__", "__sub__", "__neg__", "__eq__", "__hash__", "_
 
 
 def test_one_class_holds_the_algebra():
-    for cls in (Poly, SchurVector, DiagramVector):
+    for cls in (SchurVector, DiagramVector):
         assert issubclass(cls, SparseVector)
         assert not [name for name in ALGEBRA if name in vars(cls)]
+    # the monomial oracle has its own storage and arithmetic
+    assert not issubclass(Poly, SparseVector)
     # one partition-key check, for both partition bases
     assert "_check_key" not in vars(SchurVector) and "_check_key" not in vars(DiagramVector)
 
@@ -51,6 +53,14 @@ def assert_canonical(v) -> None:
         else:
             assert type(c) is Fraction, (key, c)
             assert c.denominator > 1 and gcd(c.numerator, c.denominator) == 1, (key, c.numerator, c.denominator)
+
+
+def assert_normal_form(den, nums) -> None:
+    """(den, nums) is the normal form of a vector: den a positive int and
+    the values of `nums` nonzero ints, with no common factor among them all."""
+    assert type(den) is int and den > 0, den
+    assert all(type(x) is int and x for x in nums.values()), nums
+    assert gcd(den, *nums.values()) == 1, (den, nums)
 
 
 def test_closed_results_drop_zeros_and_stay_canonical():

@@ -153,7 +153,7 @@ def test_phi_round_trip():
 def test_relabelling_shares_terms_and_nothing_mutates_them():
     w = dv({(2, 1): Fraction(1, 2), (1,): 3, (): -1}, bound=3)
     u = SchurVector(3, {(2,): 2, (1, 1): Fraction(-1, 3)})
-    assert phi(w).terms is w.terms and phi_inverse(u).terms is u.terms
+    assert phi(w).nums is w.nums and phi_inverse(u).nums is u.nums
     h = hat_apply("raise", w, 3)
     before = [(v, dict(v.terms)) for v in (w, u, h)]
     for v in (phi(w), phi_inverse(u), h):
